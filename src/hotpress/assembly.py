@@ -11,8 +11,8 @@ where ``M`` is a row-sum lumped mass operator per node (heat capacity,
 moisture storage, air storage, plus the latent evaporation coupling of the
 energy row to dT/dt and dH/dt through the vapor-density chain rule), and
 ``R_spatial`` carries the axisymmetric Galerkin flux terms, the sensible
-heat advected by the vapor, streamline (SUPG) stabilization of the
-convective terms and any injected manufactured source.
+heat advected by the vapor and streamline (SUPG) stabilization of the
+convective terms.
 
 The energy row charges the phase-change heat once, through
 ``(lambda + Q) * mdot`` with the evaporation rate
@@ -30,9 +30,16 @@ magnitudes, then replaces constrained rows (platen temperature, rim
 equilibrium) by their Dirichlet residuals.  The residual is exactly zero for
 a uniform state in equilibrium with all boundary values.
 
-Element integrals are evaluated with 2x2 Gauss quadrature (3x3 available
-for verification) and the axisymmetric volume weight r; the factor 2*pi is
-common to every term and dropped.
+The constitutive state at the element corners (``derive_thermo`` and the
+vapor-density partials) is evaluated in one place,
+``PressSystem._corner_state``; the residual and the explicit rates share
+its result.  ``PressSystem`` has no verification modes: the manufactured-
+solution and frozen-coefficient systems are subclasses in
+``verification``.
+
+Element integrals are evaluated with 2x2 Gauss quadrature and the
+axisymmetric volume weight r; the factor 2*pi is common to every term and
+dropped.
 """
 
 from __future__ import annotations
@@ -222,28 +229,34 @@ def vapor_density_partials(t_c, h_pct, params, rel_step=1e-6):
     return drv_dt, drv_dh
 
 
-def darcy_velocity(grad_p, perm_xy, perm_z, viscosity):
-    """Superficial gas velocity from the total-pressure gradient.
+def darcy_velocity(grad_p, mob_xy, mob_z):
+    """Superficial gas velocity V = -(K / mu) grad P.
 
     Parameters
     ----------
     grad_p : (..., 2) array
         (dP/dr, dP/dz) [N/m3].
-    perm_xy, perm_z : float or ndarray
-        Permeabilities [m2].
-    viscosity : float or ndarray
-        Gas viscosity [kg/(m s)].
+    mob_xy, mob_z : float or ndarray
+        Mobilities K / mu [m2 / (Pa s)], in-plane and transverse.
 
     Returns
     -------
-    (..., 2) array
-        (V_r, V_z) [m/s], anti-parallel to the pressure gradient.
+    (V_r, V_z) : tuple of arrays
+        [m/s], anti-parallel to the pressure gradient.
     """
-    grad_p = np.asarray(grad_p, dtype=float)
-    v = np.empty_like(grad_p)
-    v[..., 0] = -(perm_xy / viscosity) * grad_p[..., 0]
-    v[..., 1] = -(perm_z / viscosity) * grad_p[..., 1]
-    return v
+    return -mob_xy * grad_p[..., 0], -mob_z * grad_p[..., 1]
+
+
+@dataclass
+class CornerState:
+    """Constitutive state at the element corners, each field (n_el, 4)."""
+
+    thermo: ThermoPoint
+    rv_t: np.ndarray     # d(rho_v)/dT  [kg/(m3 K)]
+    rv_h: np.ndarray     # d(rho_v)/dH  [kg/(m3 %)]
+    # vapor density the moisture flux transports; ``thermo.rho_v`` except
+    # in the frozen-coefficient verification system, which linearizes it
+    rho_v: np.ndarray
 
 
 def tau_supg(a_mag, h, kappa):
@@ -286,38 +299,31 @@ class PressSystem:
     sealed_radius : bool
         Closed-rim variant: drop the rim moisture and air Dirichlet rows
         (weak zero-flux everywhere), conserving water and air exactly.
-    quad_order : int
-        Gauss points per direction (2 or 3).
-    stabilization : bool
-        Streamline stabilization on/off (off only for benchmarks).
     """
 
     def __init__(self, mesh, params, platen_temperature, ambient,
-                 sealed_radius=False, quad_order=2, stabilization=True):
+                 sealed_radius=False):
         self.mesh = mesh
         self.params = params
         self.platen_temperature = platen_temperature
         self.t_atm, self.hr_atm, self.p_atm = ambient
         self.sealed_radius = sealed_radius
-        self.stabilization = stabilization
         self.epsilon = params.porosity_value()
         self.n_dofs = N_VARS * mesh.n_nodes
-        self.source_values = None     # (n_el, n_gp, 3) manufactured source
-        self.dirichlet_all = None     # callable t -> targets for all boundary dofs
-        self._frozen = None
-        self._frozen_rim_t = None
 
         # exterior partial pressures (Dalton)
         self.p_v_atm = (self.hr_atm / 100.0) * props.saturated_vapor_pressure(self.t_atm)
         self.p_a_atm = self.p_atm - self.p_v_atm
 
-        rule = hmesh.QuadratureRule.gauss(quad_order)
-        self.rule = rule
+        rule = hmesh.QuadratureRule.gauss(2)
         coords = mesh.nodes[mesh.elements]
         self.shape, self.grad, detj, self.gp_xy = hmesh.element_geometry(coords, rule)
         r_gp = self.gp_xy[..., 0]
         self.wdetr = rule.weights[None, :] * detj * r_gp          # (n_el, n_gp)
         self.omega = np.einsum("eg,ga->ea", self.wdetr, self.shape)
+        # lumped r-weighted volume of each node
+        self.nodal_volume = np.zeros(mesh.n_nodes)
+        np.add.at(self.nodal_volume, mesh.elements, self.omega)
         # fallback streamline length where the velocity vanishes
         self.h_fallback = np.sqrt(np.sum(rule.weights[None, :] * detj, axis=1))
 
@@ -341,32 +347,6 @@ class PressSystem:
             N_VARS * mesh.elements[:, :, None] + np.arange(N_VARS)[None, None, :]
         ).reshape(-1, 4 * N_VARS)
 
-        # all-boundary dof list (used by the manufactured-solution mode)
-        bnodes = np.unique(np.concatenate(list(mesh.node_tags.values())))
-        self.boundary_nodes = bnodes
-        self.boundary_dofs = (
-            N_VARS * bnodes[:, None] + np.arange(N_VARS)[None, :]
-        ).ravel()
-
-    # -- configuration hooks -------------------------------------------------
-
-    def freeze_state(self, u_ref):
-        """Evaluate all coefficients at ``u_ref``: the system becomes linear.
-
-        Verification aid (exact-linearity and conduction-limit tests); pass
-        ``None`` to return to the full nonlinear evaluation.
-        """
-        if u_ref is None:
-            self._frozen = None
-            self._frozen_rim_t = None
-        else:
-            self._frozen = self._gather(u_ref)
-            self._frozen_rim_t = u_ref[self.rim_tdofs].copy()
-
-    def set_source(self, values):
-        """Inject a per-Gauss-point manufactured source, shape (n_el, n_gp, 3)."""
-        self.source_values = values
-
     # -- constraint values ---------------------------------------------------
 
     def rim_moisture_bc(self, t_node):
@@ -381,64 +361,58 @@ class PressSystem:
             self.params.r_gas * (np.asarray(t_node, dtype=float) + KELVIN)
         )
 
+    def _rim_targets(self, u):
+        """(moisture, air density) targets of the rim nodes of ``u``."""
+        t_rim = u[self.rim_tdofs]
+        return self.rim_moisture_bc(t_rim), self.rim_air_bc(t_rim)
+
+    def _rim_slopes(self, u):
+        """Centered-difference slopes of the rim targets with respect to
+        the rim nodes' own temperature."""
+        t_rim = u[self.rim_tdofs]
+        dt = 1e-6 * np.maximum(np.abs(t_rim), 1.0)
+        dh_dt = (self.rim_moisture_bc(t_rim + dt)
+                 - self.rim_moisture_bc(t_rim - dt)) / (2.0 * dt)
+        da_dt = (self.rim_air_bc(t_rim + dt)
+                 - self.rim_air_bc(t_rim - dt)) / (2.0 * dt)
+        return dh_dt, da_dt
+
     def constrained_dofs(self):
-        """Indices of all Dirichlet rows under the active mode."""
-        if self.dirichlet_all is not None:
-            return self.boundary_dofs
+        """Indices of all Dirichlet rows."""
         if self.sealed_radius:
             return self.platen_tdofs
         return np.concatenate([self.platen_tdofs, self.rim_hdofs, self.rim_adofs])
 
     def constraint_residual(self, u, t):
         """(dofs, residual values) for the Dirichlet rows at time t."""
-        if self.dirichlet_all is not None:
-            dofs = self.boundary_dofs
-            return dofs, u[dofs] - self.dirichlet_all(t)
         parts = [u[self.platen_tdofs] - self.platen_temperature(t)]
-        dofs = [self.platen_tdofs]
         if not self.sealed_radius:
-            t_rim = (self._frozen_rim_t if self._frozen is not None
-                     else u[self.rim_tdofs])
-            parts.append(u[self.rim_hdofs] - self.rim_moisture_bc(t_rim))
-            parts.append(u[self.rim_adofs] - self.rim_air_bc(t_rim))
-            dofs += [self.rim_hdofs, self.rim_adofs]
-        return np.concatenate(dofs), np.concatenate(parts)
+            h_bc, a_bc = self._rim_targets(u)
+            parts += [u[self.rim_hdofs] - h_bc, u[self.rim_adofs] - a_bc]
+        return self.constrained_dofs(), np.concatenate(parts)
 
     def apply_dirichlet(self, u, t):
         """Overwrite constrained dofs with their target values (in place).
 
         Used by the explicit scheme, which integrates only the free rows.
         """
-        if self.dirichlet_all is not None:
-            u[self.boundary_dofs] = self.dirichlet_all(t)
-            return u
         u[self.platen_tdofs] = self.platen_temperature(t)
         if not self.sealed_radius:
-            t_rim = (self._frozen_rim_t if self._frozen is not None
-                     else u[self.rim_tdofs])
-            u[self.rim_hdofs] = self.rim_moisture_bc(t_rim)
-            u[self.rim_adofs] = self.rim_air_bc(t_rim)
+            u[self.rim_hdofs], u[self.rim_adofs] = self._rim_targets(u)
         return u
 
-    def constraint_jacobian_entries(self, u, t, fd_step=1e-6):
+    def constraint_jacobian_entries(self, u, t):
         """(rows, cols, vals) triplets for the Dirichlet rows.
 
         Unit diagonal per constrained dof plus, for the rim rows, the
-        centered-difference sensitivity of the target to the node's own
-        temperature.
+        sensitivity of the target to the node's own temperature.
         """
         dofs = self.constrained_dofs()
         rows = [dofs]
         cols = [dofs]
         vals = [np.ones(len(dofs))]
-        if (self.dirichlet_all is None and not self.sealed_radius
-                and self._frozen is None):
-            t_rim = u[self.rim_tdofs]
-            dt = fd_step * np.maximum(np.abs(t_rim), 1.0)
-            dh_dt = (self.rim_moisture_bc(t_rim + dt)
-                     - self.rim_moisture_bc(t_rim - dt)) / (2.0 * dt)
-            da_dt = (self.rim_air_bc(t_rim + dt)
-                     - self.rim_air_bc(t_rim - dt)) / (2.0 * dt)
+        if not self.sealed_radius:
+            dh_dt, da_dt = self._rim_slopes(u)
             rows += [self.rim_hdofs, self.rim_adofs]
             cols += [self.rim_tdofs, self.rim_tdofs]
             vals += [-dh_dt, -da_dt]
@@ -450,63 +424,56 @@ class PressSystem:
         """Element-local copies of the state, shape (n_el, 4, 3)."""
         return u[self.elem_dofs].reshape(-1, 4, N_VARS)
 
-    def element_residual(self, ue, due, t):
+    def _at_gauss(self, f):
+        """Corner values (n_el, 4) interpolated to the quadrature points."""
+        return np.einsum("ga,ea->eg", self.shape, f)
+
+    def _grad_at_gauss(self, f):
+        """(d/dr, d/dz) of corner values at the quadrature points."""
+        return np.einsum("egad,ea->egd", self.grad, f)
+
+    def _corner_state(self, ue):
+        """Constitutive state of the element-local states ``ue``."""
+        t_n, h_n = ue[:, :, 0], ue[:, :, 1]
+        th = derive_thermo(t_n, h_n, ue[:, :, 2], self.params, self.epsilon)
+        rv_t, rv_h = vapor_density_partials(t_n, h_n, self.params)
+        return CornerState(th, rv_t, rv_h, th.rho_v)
+
+    def _gauss_velocity(self, th):
+        """Darcy gas velocity (V_r, V_z) at the quadrature points."""
+        return darcy_velocity(self._grad_at_gauss(th.p_total),
+                              self._at_gauss(th.perm_xy / th.viscosity),
+                              self._at_gauss(th.perm_z / th.viscosity))
+
+    def element_residual(self, ue, due, t, state=None):
         """Scaled element residual rows, shape (n_el, 4, 3).
 
         ``ue``/``due`` are element-local states and rates; summing the
         returned blocks over elements yields the unconstrained global
-        residual.
+        residual.  ``state`` is ``_corner_state(ue)`` when the caller
+        already has it.
         """
+        if state is None:
+            state = self._corner_state(ue)
         p = self.params
         eps = self.epsilon
-        base = self._frozen if self._frozen is not None else ue
-        t_n, h_n, a_n = base[:, :, 0], base[:, :, 1], base[:, :, 2]
-
-        th = derive_thermo(t_n, h_n, a_n, p, eps)
-        rv_t, rv_h = vapor_density_partials(t_n, h_n, p)
-
-        if self._frozen is not None:
-            # linearized vapor density, live linear fields, frozen coefficients
-            d_t = ue[:, :, 0] - t_n
-            d_h = ue[:, :, 1] - h_n
-            rv_nodal = th.rho_v + rv_t * d_t + rv_h * d_h
-            rv_coef = th.rho_v  # keeps the energy advection linear in u
-        else:
-            rv_nodal = th.rho_v
-            rv_coef = th.rho_v
+        th = state.thermo
+        val = self._at_gauss
+        grad_of = self._grad_at_gauss
         t_live = ue[:, :, 0]
         a_live = ue[:, :, 2]
 
-        lamql = th.latent + th.sorption
-        mob_xy = th.perm_xy / th.viscosity
-        mob_z = th.perm_z / th.viscosity
-        eps_d = eps * th.diffusivity
-
-        # interpolate to quadrature points
-        def val(f):
-            return np.einsum("ga,ea->eg", self.shape, f)
-
-        def grad_of(f):
-            return np.einsum("egad,ea->egd", self.grad, f)
-
-        rv_g = val(rv_nodal)
-        rvc_g = val(rv_coef)
-        lamql_g = val(lamql)
+        rv_g = val(state.rho_v)
+        rvc_g = val(th.rho_v)  # advection coefficient
         a_g = val(a_live)
-        cp_g = val(th.cp)
         kxy_g = val(th.kappa_xy)
         kz_g = val(th.kappa_z)
-        mobxy_g = val(mob_xy)
-        mobz_g = val(mob_z)
-        epsd_g = val(eps_d)
+        epsd_g = val(eps * th.diffusivity)
 
         g_t = grad_of(t_live)
-        g_rv = grad_of(rv_nodal)
+        g_rv = grad_of(state.rho_v)
         g_a = grad_of(a_live)
-        g_p = grad_of(th.p_total)  # frozen mode: frozen pressure -> frozen velocity
-
-        v_r = -mobxy_g * g_p[..., 0]
-        v_z = -mobz_g * g_p[..., 1]
+        v_r, v_z = self._gauss_velocity(th)
 
         # fluxes at quadrature points
         f_t_r = kxy_g * g_t[..., 0]
@@ -529,26 +496,29 @@ class PressSystem:
         re[:, :, IDX_A] = np.einsum("eg,ega->ea", w * q_a_r, gr[..., 0]) \
             + np.einsum("eg,ega->ea", w * q_a_z, gr[..., 1])
 
-        if self.stabilization:
-            self._add_supg(re, v_r, v_z, rvc_g, kxy_g, kz_g, epsd_g,
-                           adv_t, g_rv, g_a)
-
-        if self.source_values is not None:
-            re -= np.einsum("eg,ga,egc->eac",
-                            self.wdetr, self.shape, self.source_values)
+        self._add_supg(re, v_r, v_z, rvc_g, kxy_g, kz_g, epsd_g,
+                       adv_t, g_rv, g_a)
 
         if due is not None:
             # row-sum lumped storage plus the latent chain-rule coupling
-            m_t = np.einsum("eg,ga->ea", self.wdetr * cp_g, self.shape) * p.rho_s
-            s_lat = np.einsum("eg,ga->ea", self.wdetr * lamql_g, self.shape)
+            m_t, s_lat = self._energy_storage(th)
             d_t = due[:, :, IDX_T]
             d_h = due[:, :, IDX_H]
-            mdot = eps * (rv_t * d_t + rv_h * d_h) - (p.rho_s / 100.0) * d_h
+            mdot = eps * (state.rv_t * d_t + state.rv_h * d_h) \
+                - (p.rho_s / 100.0) * d_h
             re[:, :, IDX_T] += m_t * d_t + s_lat * mdot
             re[:, :, IDX_H] += (p.rho_s / 100.0) * self.omega * d_h
             re[:, :, IDX_A] += eps * self.omega * due[:, :, IDX_A]
 
         return re * self.row_scale[None, None, :]
+
+    def _energy_storage(self, th):
+        """Lumped heat capacity and latent weight of each element corner."""
+        cp_g = self._at_gauss(th.cp)
+        lamql_g = self._at_gauss(th.latent + th.sorption)
+        m_t = np.einsum("eg,ga->ea", self.wdetr * cp_g, self.shape) * self.params.rho_s
+        s_lat = np.einsum("eg,ga->ea", self.wdetr * lamql_g, self.shape)
+        return m_t, s_lat
 
     def _add_supg(self, re, v_r, v_z, rvc_g, kxy_g, kz_g, epsd_g,
                   strong_t, g_rv, g_a):
@@ -609,16 +579,9 @@ class PressSystem:
         p = self.params
         eps = self.epsilon
         ue = self._gather(u)
-        re = self.element_residual(ue, None, t)  # spatial part only, scaled
-
-        t_n, h_n, a_n = ue[:, :, 0], ue[:, :, 1], ue[:, :, 2]
-        base = self._frozen if self._frozen is not None else ue
-        th = derive_thermo(base[:, :, 0], base[:, :, 1], base[:, :, 2], p, eps)
-        rv_t, rv_h = vapor_density_partials(base[:, :, 0], base[:, :, 1], p)
-        cp_g = np.einsum("ga,ea->eg", self.shape, th.cp)
-        lamql_g = np.einsum("ga,ea->eg", self.shape, th.latent + th.sorption)
-        m_t = np.einsum("eg,ga->ea", self.wdetr * cp_g, self.shape) * p.rho_s
-        s_lat = np.einsum("eg,ga->ea", self.wdetr * lamql_g, self.shape)
+        state = self._corner_state(ue)
+        re = self.element_residual(ue, None, t, state)  # spatial part only, scaled
+        m_t, s_lat = self._energy_storage(state.thermo)
 
         sc = self.row_scale
         n = self.mesh.n_nodes
@@ -630,8 +593,8 @@ class PressSystem:
             np.add.at(out, self.mesh.elements, field * scale)
             return out
 
-        m_tt = scatter(m_t + s_lat * eps * rv_t, sc[IDX_T])
-        c_th = scatter(s_lat * (eps * rv_h - p.rho_s / 100.0), sc[IDX_T])
+        m_tt = scatter(m_t + s_lat * eps * state.rv_t, sc[IDX_T])
+        c_th = scatter(s_lat * (eps * state.rv_h - p.rho_s / 100.0), sc[IDX_T])
         m_hh = scatter((p.rho_s / 100.0) * self.omega, sc[IDX_H])
         m_aa = scatter(eps * self.omega, sc[IDX_A])
 
@@ -642,15 +605,11 @@ class PressSystem:
         d_a = -r_a / m_aa
         d_t = (-r_t - c_th * d_h) / m_tt
 
-        if self.dirichlet_all is None and not self.sealed_radius \
-                and self._frozen is None:
+        if not self.sealed_radius:
             # rim energy rows: the moisture rate entering the latent coupling
             # follows the constraint H = H_bc(T), not the free moisture row
             rim = self.rim_nodes
-            t_rim = u[self.rim_tdofs]
-            fd = 1e-6 * np.maximum(np.abs(t_rim), 1.0)
-            h_slope = (self.rim_moisture_bc(t_rim + fd)
-                       - self.rim_moisture_bc(t_rim - fd)) / (2.0 * fd)
+            h_slope, _ = self._rim_slopes(u)
             d_t[rim] = -r_t[rim] / (m_tt[rim] + c_th[rim] * h_slope)
             d_h[rim] = h_slope * d_t[rim]
 
@@ -673,29 +632,19 @@ class PressSystem:
         ue = self._gather(u)
         th = derive_thermo(ue[:, :, IDX_T], ue[:, :, IDX_H], ue[:, :, IDX_A],
                            self.params, self.epsilon)
-        mob_xy = th.perm_xy / th.viscosity
-        mob_z = th.perm_z / th.viscosity
-        g_p = np.einsum("egad,ea->egd", self.grad, th.p_total)
-        mobxy_g = np.einsum("ga,ea->eg", self.shape, mob_xy)
-        mobz_g = np.einsum("ga,ea->eg", self.shape, mob_z)
-        v_r_g = -mobxy_g * g_p[..., 0]
-        v_z_g = -mobz_g * g_p[..., 1]
+        v_r_g, v_z_g = self._gauss_velocity(th)
         num = np.zeros((self.mesh.n_nodes, 2))
-        den = np.zeros(self.mesh.n_nodes)
         np.add.at(num[:, 0], self.mesh.elements,
                   np.einsum("eg,ga->ea", self.wdetr * v_r_g, self.shape))
         np.add.at(num[:, 1], self.mesh.elements,
                   np.einsum("eg,ga->ea", self.wdetr * v_z_g, self.shape))
-        np.add.at(den, self.mesh.elements, self.omega)
-        return num / den[:, None]
+        return num / self.nodal_volume[:, None]
 
     def lumped_water(self, u):
         """Water functional conserved by the sealed variant:
         integral of rho_s * H * r over the section (lumped quadrature)."""
         h = u[IDX_H::N_VARS]
-        w_node = np.zeros(self.mesh.n_nodes)
-        np.add.at(w_node, self.mesh.elements, self.omega)
-        return float(self.params.rho_s * np.sum(w_node * h) / 100.0)
+        return float(self.params.rho_s * np.sum(self.nodal_volume * h) / 100.0)
 
     def water_balance(self, u_old, u_new, dt, t_new):
         """Per-step water bookkeeping of the open variant.
@@ -711,24 +660,23 @@ class PressSystem:
         rim_influx = float(np.sum(raw[self.rim_hdofs])) / self.row_scale[IDX_H]
         h_old = u_old[IDX_H::N_VARS]
         h_new = u_new[IDX_H::N_VARS]
-        w_node = np.zeros(self.mesh.n_nodes)
-        np.add.at(w_node, self.mesh.elements, self.omega)
         storage_rate = float(
-            self.params.rho_s / 100.0 * np.sum(w_node * (h_new - h_old)) / dt
+            self.params.rho_s / 100.0 * np.sum(self.nodal_volume * (h_new - h_old)) / dt
         )
         return storage_rate, rim_influx
 
-    def stable_dt_advisory(self):
-        """Conservative diffusive time-step bound 0.25 * min(h^2 / alpha).
+    def stable_dt_advisory(self, u):
+        """Diffusive time-step bound 0.25 * h_min^2 / alpha for state ``u``.
 
-        Advisory only (the implicit scheme is unconditionally stable);
-        evaluated at a representative warm state.
+        Advisory only (the implicit scheme is unconditionally stable).
+        ``alpha`` is the largest conductive or steam-air diffusivity over
+        the nodes of ``u``.  The steam-air diffusivity varies as
+        1/P_total, so a near-vacuum pore gas sets the limit.
         """
-        th = derive_thermo(80.0, 8.0, 1e-6, self.params, self.epsilon)
-        alpha = max(
-            float(th.kappa_z / (self.params.rho_s * th.cp)),
-            float(self.epsilon * th.diffusivity / max(self.epsilon, 1e-12)),
-        )
+        th = derive_thermo(*state_fields(u), self.params, self.epsilon)
+        kappa = np.maximum(th.kappa_xy, th.kappa_z)
+        alpha = max(float(np.max(kappa / (self.params.rho_s * th.cp))),
+                    float(np.max(th.diffusivity)))
         coords = self.mesh.nodes[self.mesh.elements]
         h_min = min(
             float(np.min(np.linalg.norm(coords[:, 1] - coords[:, 0], axis=1))),

@@ -25,10 +25,6 @@ CENTERLINE = "centerline"
 MIDPLANE = "midplane"
 EXTERNAL = "external_radius"
 
-# element-local edges as (first local node, second local node), CCW
-_EDGES = ((0, 1), (1, 2), (2, 3), (3, 0))
-
-
 def graded_spacing(length, n, ratio):
     """Coordinates of ``n + 1`` points on [0, length], geometrically graded.
 
@@ -58,9 +54,6 @@ class Mesh:
         (r, z) coordinates.
     elements : (n_elems, 4) int array
         CCW corner node indices.
-    boundary_edges : list of (elem, local_edge, tag)
-        Every mesh edge lying on the domain boundary, with its owning
-        element and tag.
     node_tags : dict tag -> int array
         Node indices on each boundary (corner nodes appear under both tags).
     """
@@ -69,7 +62,6 @@ class Mesh:
     elements: np.ndarray
     n_r: int
     n_z: int
-    boundary_edges: list = field(default_factory=list)
     node_tags: dict = field(default_factory=dict)
 
     @property
@@ -130,13 +122,6 @@ def build_graded_mesh(r_ext, half_thickness, n_r, n_z, grading_ratio=4.0):
     elements = np.array(elems, dtype=int)
 
     mesh = Mesh(nodes=nodes, elements=elements, n_r=n_r, n_z=n_z)
-
-    for iz in range(n_z):
-        mesh.boundary_edges.append((iz * n_r, 3, CENTERLINE))            # ir = 0
-        mesh.boundary_edges.append((iz * n_r + n_r - 1, 1, EXTERNAL))    # ir = n_r-1
-    for ir in range(n_r):
-        mesh.boundary_edges.append((ir, 0, MIDPLANE))                    # iz = 0
-        mesh.boundary_edges.append(((n_z - 1) * n_r + ir, 2, PLATEN))    # iz = n_z-1
 
     mesh.node_tags = {
         CENTERLINE: mesh.structured_line(ir=0),
@@ -225,34 +210,3 @@ def element_geometry(coords, rule):
     grad = np.einsum("gaj,egji->egai", dn, inv)
     gp_xy = np.einsum("ga,eai->egi", n, coords)
     return n, grad, detj, gp_xy
-
-
-# ---------------------------------------------------------------------------
-# plain-text export
-# ---------------------------------------------------------------------------
-
-def export_mesh(mesh, stream):
-    """Write a plain-text node/element listing.
-
-    Format (documented in the README)::
-
-        # hotpress mesh
-        # nodes <count>
-        <id> <r> <z>
-        ...
-        # elements <count>
-        <id> <n0> <n1> <n2> <n3>
-        ...
-        # boundary <count>
-        <elem> <local_edge> <tag>
-    """
-    stream.write("# hotpress mesh\n")
-    stream.write(f"# nodes {mesh.n_nodes}\n")
-    for i, (r, z) in enumerate(mesh.nodes):
-        stream.write(f"{i} {r:.17g} {z:.17g}\n")
-    stream.write(f"# elements {mesh.n_elems}\n")
-    for i, conn in enumerate(mesh.elements):
-        stream.write(f"{i} {conn[0]} {conn[1]} {conn[2]} {conn[3]}\n")
-    stream.write(f"# boundary {len(mesh.boundary_edges)}\n")
-    for elem, edge, tag in mesh.boundary_edges:
-        stream.write(f"{elem} {edge} {tag}\n")

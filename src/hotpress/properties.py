@@ -318,29 +318,6 @@ class HailwoodHorrobinIsotherm:
         out = self.scale * (1800.0 / w) * (mono + poly)
         return out if np.ndim(out) else float(out)
 
-    def _emc_and_slope(self, t_c, hr_pct):
-        """EMC and its derivative with respect to RH [% per %]."""
-        t_f = np.clip(np.asarray(t_c, dtype=float), *self.t_range) * 1.8 + 32.0
-        h = np.asarray(hr_pct, dtype=float) / 100.0
-        w = 330.0 + 0.452 * t_f + 0.00415 * t_f**2
-        k = 0.791 + 4.63e-4 * t_f - 8.44e-7 * t_f**2
-        k1 = 6.34 + 7.75e-4 * t_f - 9.35e-5 * t_f**2
-        k2 = 1.09 + 2.84e-2 * t_f - 9.04e-5 * t_f**2
-        x = k * h
-        mono = x / (1.0 - x)
-        dmono = 1.0 / (1.0 - x) ** 2
-        num = k1 * x + 2.0 * k1 * k2 * x**2
-        den = 1.0 + k1 * x + k1 * k2 * x**2
-        dnum = k1 + 4.0 * k1 * k2 * x
-        dden = k1 + 2.0 * k1 * k2 * x
-        poly = num / den
-        dpoly = (dnum * den - num * dden) / den**2
-        pref = self.scale * 1800.0 / w
-        emc = pref * (mono + poly)
-        # chain: d/dRH% = d/dh * dh/dRH% = d/dx * k / 100
-        slope = pref * (dmono + dpoly) * k / 100.0
-        return emc, slope
-
     def hr_from_emc(self, t_c, h_pct, n_bisect=18, n_polish=4):
         """Invert the surface: RH [%] that equilibrates at moisture H [%].
 

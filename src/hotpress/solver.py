@@ -277,13 +277,6 @@ class TransientResult:
     def mean_newton_iters(self):
         return float(np.mean(self.newton_iters)) if self.newton_iters else 0.0
 
-    def state_at(self, t_query):
-        """Stored state at exactly t_query."""
-        for t, u in zip(self.times, self.states):
-            if abs(t - t_query) <= 1e-9 * max(1.0, abs(t_query)):
-                return u
-        raise KeyError(f"no stored state at t={t_query}")
-
 
 _TIME_SNAP = 1e-9
 
@@ -335,7 +328,7 @@ def run_transient(system, u0, t_end, dt, scheme="implicit", output_times=(),
         wanted = wanted[1:]
 
     if scheme == "explicit":
-        advisory = system.stable_dt_advisory()
+        advisory = system.stable_dt_advisory(u)
         if dt > advisory:
             emit(f"warning: explicit dt={dt:.3g} exceeds diffusive advisory "
                  f"{advisory:.3g}")

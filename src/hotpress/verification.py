@@ -29,8 +29,8 @@ import numpy as np
 
 from .assembly import (
     N_VARS,
-    IDX_H,
     STATE_SCALE,
+    CornerState,
     PressSystem,
     derive_thermo,
     pack_state,
@@ -52,6 +52,8 @@ from .solver import NewtonOptions, fd_jacobian, linear_solve, newton_solve, rms
 
 __all__ = [
     "CheckResult",
+    "FrozenCoefficientSystem",
+    "ManufacturedSystem",
     "SUITE_NAMES",
     "conservation_suite",
     "jacobian_suite",
@@ -88,6 +90,100 @@ class CheckResult:
     def line(self):
         """One report line: PASS/FAIL, name, and the measured numbers."""
         return f"{'PASS' if self.passed else 'FAIL'} {self.name}: {self.detail}"
+
+
+# ---------------------------------------------------------------------------
+# verification systems
+# ---------------------------------------------------------------------------
+
+class FrozenCoefficientSystem(PressSystem):
+    """``system`` with every coefficient evaluated at the state ``u_ref``.
+
+    The residual becomes affine in the state: the vapor density is
+    linearized about ``u_ref`` and the rim targets are held at their
+    ``u_ref`` values.  Used by the exact-linearity and single-Newton-step
+    tests.
+    """
+
+    def __init__(self, system, u_ref):
+        super().__init__(system.mesh, system.params,
+                         system.platen_temperature,
+                         (system.t_atm, system.hr_atm, system.p_atm),
+                         system.sealed_radius)
+        self._ue_ref = self._gather(u_ref)
+        self._ref = super()._corner_state(self._ue_ref)
+        self._rim_ref = super()._rim_targets(u_ref)
+
+    def _corner_state(self, ue):
+        ref = self._ref
+        d_t = ue[:, :, 0] - self._ue_ref[:, :, 0]
+        d_h = ue[:, :, 1] - self._ue_ref[:, :, 1]
+        rho_v = ref.thermo.rho_v + ref.rv_t * d_t + ref.rv_h * d_h
+        return CornerState(ref.thermo, ref.rv_t, ref.rv_h, rho_v)
+
+    def _rim_targets(self, u):
+        return self._rim_ref
+
+    def _rim_slopes(self, u):
+        zero = np.zeros(len(self.rim_nodes))
+        return zero, zero
+
+
+class ManufacturedSystem(PressSystem):
+    """Press operator on which a manufactured solution is exact.
+
+    Every boundary dof is pinned to ``solution``, the volumetric source
+    that makes ``solution`` satisfy the equations is injected, and the
+    streamline stabilization can be switched off.  The rim is sealed and
+    the platen schedule unused: the boundary values come from the
+    solution.
+    """
+
+    def __init__(self, mesh, params, solution, stabilization=True):
+        super().__init__(mesh, params, lambda t: 0.0,
+                         (30.0, 65.0, 101325.0), sealed_radius=True)
+        self.solution = solution
+        self.stabilization = stabilization
+        nodes = np.unique(np.concatenate(list(mesh.node_tags.values())))
+        self.boundary_dofs = (
+            N_VARS * nodes[:, None] + np.arange(N_VARS)[None, :]
+        ).ravel()
+        self._source_t = None
+        self._source = None
+
+    def source(self, t):
+        """Manufactured source at time t, shape (n_el, n_gp, 3); kept
+        until t changes, as every Newton iteration of a step reuses it."""
+        if t != self._source_t:
+            self._source = manufactured_source(self, self.solution, t)
+            self._source_t = t
+        return self._source
+
+    def constrained_dofs(self):
+        return self.boundary_dofs
+
+    def constraint_residual(self, u, t):
+        dofs = self.boundary_dofs
+        return dofs, u[dofs] - self.solution.state(self.mesh, t)[dofs]
+
+    def apply_dirichlet(self, u, t):
+        u[self.boundary_dofs] = self.solution.state(self.mesh, t)[
+            self.boundary_dofs]
+        return u
+
+    def constraint_jacobian_entries(self, u, t):
+        dofs = self.boundary_dofs
+        return dofs, dofs, np.ones(len(dofs))
+
+    def element_residual(self, ue, due, t, state=None):
+        re = super().element_residual(ue, due, t, state)
+        src = np.einsum("eg,ga,egc->eac", self.wdetr, self.shape,
+                        self.source(t))
+        return re - src * self.row_scale[None, None, :]
+
+    def _add_supg(self, re, *args):
+        if self.stabilization:
+            super()._add_supg(re, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +257,8 @@ def _mms_solution(transient, period=8.0):
     )
 
 
+# Independent of the assembly's Darcy velocity and flux code on purpose:
+# this is the oracle the MMS suite checks the element residual against.
 def _pointwise_flux(system, sol, r, z, t):
     """Exact strong-form flux (..., 3, 2) of the three balances and the
     energy advection term rho_v cp_vapor V . grad T (...,).
@@ -253,32 +351,16 @@ def manufactured_source(system, sol, t, fd_rel=1e-4):
     return src
 
 
-def _mms_system(n, stabilization=True):
-    """Uniform n-by-n system with every boundary node Dirichlet-pinned."""
+def _mms_system(n, sol, stabilization=True):
+    """Uniform n-by-n manufactured-solution system for ``sol``."""
     mesh = build_graded_mesh(_MMS_R, _MMS_Z, n, n, 1.0)
-    return PressSystem(mesh, MaterialParams(rho_s=586.0), lambda t: 0.0,
-                       (30.0, 65.0, 101325.0), sealed_radius=True,
-                       stabilization=stabilization)
-
-
-def _pin_exact_boundary(system, sol):
-    mesh = system.mesh
-
-    def targets(t):
-        return sol.state(mesh, t)[system.boundary_dofs]
-
-    system.dirichlet_all = targets
-
-
-def _nodal_volume(system):
-    w = np.zeros(system.mesh.n_nodes)
-    np.add.at(w, system.mesh.elements, system.omega)
-    return w
+    return ManufacturedSystem(mesh, MaterialParams(rho_s=586.0), sol,
+                              stabilization)
 
 
 def _scaled_error_norm(system, diff):
     """Volume-weighted RMS of a state difference, per-type scaled."""
-    w = _nodal_volume(system)
+    w = system.nodal_volume
     e = diff.reshape(-1, N_VARS) / np.asarray(STATE_SCALE)
     return float(np.sqrt(np.sum(w[:, None] * e**2) / (N_VARS * np.sum(w))))
 
@@ -321,9 +403,7 @@ def mms_spatial_study(n_values=(5, 10, 20, 40), stabilization=True):
     sol = _mms_solution(transient=False)
     errors = []
     for n in n_values:
-        system = _mms_system(n, stabilization)
-        _pin_exact_boundary(system, sol)
-        system.set_source(manufactured_source(system, sol, 0.0))
+        system = _mms_system(n, sol, stabilization)
         u_exact = sol.state(system.mesh, 0.0)
         u = _steady_solve(system, u_exact)
         errors.append(_scaled_error_norm(system, u - u_exact))
@@ -345,21 +425,15 @@ def mms_temporal_study(dts=(1.0, 0.5, 0.25, 0.125, 0.0625), n=8, t_final=8.0):
         log2 ratio of consecutive differences.
     """
     sol = _mms_solution(transient=True, period=t_final)
-    system = _mms_system(n)
-    _pin_exact_boundary(system, sol)
+    system = _mms_system(n, sol)
     opts = NewtonOptions()
     finals = []
     for dt in dts:
         steps = int(round(t_final / dt))
         u = sol.state(system.mesh, 0.0)
-        t = 0.0
         for k in range(steps):
-            t_new = (k + 1) * dt
-            system.set_source(manufactured_source(system, sol, t_new))
-            u, _, _ = newton_solve(system, u, dt, t_new, opts)
-            t = t_new
+            u, _, _ = newton_solve(system, u, dt, (k + 1) * dt, opts)
         finals.append(u)
-    system.set_source(None)
     diffs = [_scaled_error_norm(system, finals[i] - finals[i + 1])
              for i in range(len(finals) - 1)]
     orders = [float(np.log2(diffs[i] / diffs[i + 1]))

@@ -1,13 +1,18 @@
 """Tests for the derived thermodynamic state and the assembled residual."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from hotpress import assembly as asm
 from hotpress import mesh as hm
 from hotpress import properties as props
+from hotpress import solver as slv
+from hotpress import verification as vf
 from hotpress.errors import StepError
 from hotpress.properties import MaterialParams
+from hotpress.scenario import build_system, humphrey_preset, initial_state
 
 AMBIENT = (30.0, 65.0, 101325.0)
 
@@ -132,18 +137,22 @@ class TestVaporDensityPartials:
 
 
 class TestDarcyVelocity:
+    """``darcy_velocity`` takes the mobilities K/mu."""
+
     def test_antiparallel_to_gradient(self):
-        v = asm.darcy_velocity(np.array([1.0e5, -2.0e5]), 5.9e-13, 1.0e-14, 2.0e-5)
+        v = asm.darcy_velocity(np.array([1.0e5, -2.0e5]),
+                               5.9e-13 / 2.0e-5, 1.0e-14 / 2.0e-5)
         assert v[0] < 0.0 and v[1] > 0.0
 
     def test_anisotropy_ratio(self):
         grad = np.array([1.0e4, 1.0e4])
-        v = asm.darcy_velocity(grad, 59.0e-14, 1.0e-14, 1.8e-5)
+        v = asm.darcy_velocity(grad, 59.0e-14 / 1.8e-5, 1.0e-14 / 1.8e-5)
         assert v[0] / v[1] == pytest.approx(59.0, rel=1e-12)
 
     def test_magnitude(self):
         # V = K/mu * |grad P|
-        v = asm.darcy_velocity(np.array([0.0, 1.0e5]), 5.9e-13, 1.0e-14, 2.0e-5)
+        v = asm.darcy_velocity(np.array([0.0, 1.0e5]),
+                               5.9e-13 / 2.0e-5, 1.0e-14 / 2.0e-5)
         assert v[1] == pytest.approx(-1.0e-14 / 2.0e-5 * 1.0e5, rel=1e-12)
 
 
@@ -307,6 +316,31 @@ class TestResidual:
             f"latent heat of the evaporating water (relative error "
             f"{err / ref:.2e})")
 
+    @pytest.mark.parametrize("sealed", [True, False])
+    def test_rates_solve_semi_discrete_system(self, small_mesh, params, sealed):
+        """M(u) ode_rates(u) + R_spatial(u) = 0 on every free row.
+
+        The open rim's temperature rows are left out: their latent
+        coupling follows the slope of the rim moisture constraint, not
+        the free moisture row.
+        """
+        system = asm.PressSystem(small_mesh, params, lambda t: 160.0,
+                                 AMBIENT, sealed_radius=sealed)
+        r = small_mesh.nodes[:, 0] / 0.2828
+        z = small_mesh.nodes[:, 1] / 0.0075
+        u = asm.pack_state(40.0 + 60.0 * z**2 + 10.0 * r**2,
+                           10.0 - 3.0 * z + r,
+                           0.2 + 0.5 * r**2 + 0.2 * z)
+        rates = system.ode_rates(u, 0.0)
+        spatial = system.residual(u, None, 0.0, constrained=False)
+        full = system.residual(u, rates, 0.0, constrained=False)
+        left_out = system.constrained_dofs()
+        if not sealed:
+            left_out = np.concatenate([left_out, system.rim_tdofs])
+        free = np.setdiff1d(np.arange(system.n_dofs), left_out)
+        ratio = np.abs(full[free]).max() / np.abs(spatial[free]).max()
+        assert ratio < 1e-12, f"rates leave a relative residual {ratio:.2e}"
+
     def test_constrained_rates_zero(self, open_system):
         u = self.equilibrium_state(open_system)
         u[asm.IDX_T::3] += np.linspace(0, 5, open_system.mesh.n_nodes)
@@ -324,7 +358,7 @@ class TestFrozenLinearity:
             5.0 + 6.0 * rng.random(n),
             0.2 + 0.8 * rng.random(n),
         )
-        system.freeze_state(u0)
+        system = vf.FrozenCoefficientSystem(system, u0)
         du = rng.standard_normal(u0.size)
         dudt = 0.1 * rng.standard_normal(u0.size)
 
@@ -336,14 +370,13 @@ class TestFrozenLinearity:
         assert np.abs(curvature).max() < 1e-10 * scale, (
             "frozen-coefficient residual must be affine in the state"
         )
-        system.freeze_state(None)
 
     def test_freeze_none_restores_nonlinearity(self, small_mesh, params):
+        """Freezing builds a new system; the production one stays nonlinear."""
         system = asm.PressSystem(small_mesh, params, lambda t: 160.0, AMBIENT)
         n = small_mesh.n_nodes
         u0 = asm.pack_state(np.full(n, 60.0), np.full(n, 8.0), np.full(n, 0.5))
-        system.freeze_state(u0)
-        system.freeze_state(None)
+        vf.FrozenCoefficientSystem(system, u0)
         du = np.ones(u0.size)
         r0 = system.residual(u0, np.zeros_like(u0), 0.0)
         r1 = system.residual(u0 + du, np.zeros_like(u0), 0.0)
@@ -371,5 +404,21 @@ class TestWaterBookkeeping:
 
 class TestStableDtAdvisory:
     def test_positive_and_small(self, open_system):
-        dt = open_system.stable_dt_advisory()
+        n = open_system.mesh.n_nodes
+        u = asm.pack_state(np.full(n, 30.0), np.full(n, 11.0), np.full(n, 1e-6))
+        dt = open_system.stable_dt_advisory(u)
         assert 0.0 < dt < 1.0
+
+    def test_advised_dt_runs_explicit_press_start(self):
+        """The near-vacuum initial pore gas sets the limit: an open 6 x 6
+        humphrey board integrates explicitly at the advised dt without
+        driving the air density negative."""
+        sc = replace(humphrey_preset(), n_r=6, n_z=6)
+        system = build_system(sc)
+        u0 = initial_state(sc, system.mesh)
+        dt = system.stable_dt_advisory(u0)
+        res = slv.run_transient(system, u0, 0.05, dt, scheme="explicit",
+                                store_all=True)
+        assert not any("advisory" in ln for ln in res.log)
+        assert res.times[-1] == pytest.approx(0.05)
+        assert min(asm.state_fields(u)[2].min() for u in res.states) >= 0.0

@@ -1,7 +1,5 @@
 """Tests for mesh construction and the reference element."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -69,33 +67,13 @@ class TestBuildMesh:
         )
         assert np.all(area > 0)
 
-    def test_boundary_tags_partition(self):
-        m = hm.build_graded_mesh(1.0, 0.5, 4, 3, 2.0)
-        per_tag = {tag: 0 for tag in (hm.PLATEN, hm.CENTERLINE, hm.MIDPLANE, hm.EXTERNAL)}
-        for _, _, tag in m.boundary_edges:
-            per_tag[tag] += 1
-        assert per_tag[hm.PLATEN] == 4
-        assert per_tag[hm.MIDPLANE] == 4
-        assert per_tag[hm.CENTERLINE] == 3
-        assert per_tag[hm.EXTERNAL] == 3
-        # every boundary edge geometrically on its boundary
-        for elem, edge, tag in m.boundary_edges:
-            a, b = hm._EDGES[edge]
-            pa, pb = m.nodes[m.elements[elem][a]], m.nodes[m.elements[elem][b]]
-            if tag == hm.PLATEN:
-                assert pa[1] == pb[1] == 0.5
-            elif tag == hm.MIDPLANE:
-                assert pa[1] == pb[1] == 0.0
-            elif tag == hm.CENTERLINE:
-                assert pa[0] == pb[0] == 0.0
-            else:
-                assert pa[0] == pb[0] == 1.0
-
     def test_node_tags(self):
         m = hm.build_graded_mesh(1.0, 0.5, 4, 3, 1.0)
         assert len(m.node_tags[hm.PLATEN]) == 5
         assert np.all(m.nodes[m.node_tags[hm.PLATEN], 1] == 0.5)
         assert np.all(m.nodes[m.node_tags[hm.CENTERLINE], 0] == 0.0)
+        assert np.all(m.nodes[m.node_tags[hm.MIDPLANE], 1] == 0.0)
+        assert np.all(m.nodes[m.node_tags[hm.EXTERNAL], 0] == 1.0)
 
     def test_invalid_extent(self):
         with pytest.raises(MeshError):
@@ -175,20 +153,3 @@ class TestQuadrature:
             n, _, detj, _ = hm.element_geometry(coords, rule)
             vals[order] = np.einsum("g,ga,gb->ab", rule.weights * detj[0], n, n)
         assert np.allclose(vals[2], vals[3], rtol=1e-13)
-
-
-class TestExport:
-    def test_export_listing(self):
-        m = hm.build_graded_mesh(1.0, 0.5, 2, 2, 1.0)
-        buf = io.StringIO()
-        hm.export_mesh(m, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "# hotpress mesh"
-        assert lines[1] == "# nodes 9"
-        assert lines[11] == "# elements 4"
-        first = lines[2].split()
-        assert int(first[0]) == 0
-        assert float(first[1]) == 0.0
-        # element line: id + 4 node ids
-        assert len(lines[12].split()) == 5
-        assert lines[16] == "# boundary 8"

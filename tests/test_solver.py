@@ -9,6 +9,7 @@ from hotpress import mesh as hm
 from hotpress import solver as slv
 from hotpress.errors import LinearSolveError, NewtonError, StepError
 from hotpress.properties import MaterialParams
+from hotpress.verification import FrozenCoefficientSystem
 
 AMBIENT = (30.0, 65.0, 101325.0)
 
@@ -114,11 +115,8 @@ class TestCrossSchemeConsistency:
 class TestNewton:
     def test_frozen_linear_single_iteration(self, system, u_smooth):
         u, t = u_smooth
-        system.freeze_state(u)
-        try:
-            step = slv.implicit_step(system, u, t, 1.0)
-        finally:
-            system.freeze_state(None)
+        frozen = FrozenCoefficientSystem(system, u)
+        step = slv.implicit_step(frozen, u, t, 1.0)
         assert step.newton_iters == 1, (
             f"linear system took {step.newton_iters} Newton iterations"
         )
@@ -280,7 +278,7 @@ class TestRunTransient:
         n = idle_system.mesh.n_nodes
         u = asm.pack_state(np.full(n, 30.0), np.full(n, 11.0),
                            np.full(n, idle_system.rim_air_bc(30.0)))
-        dt = 2.0 * idle_system.stable_dt_advisory()
+        dt = 2.0 * idle_system.stable_dt_advisory(u)
         res = slv.run_transient(idle_system, u, dt, dt, scheme="explicit")
         assert any("advisory" in ln for ln in res.log)
 

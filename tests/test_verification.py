@@ -106,9 +106,7 @@ class TestManufacturedSource:
         sol = vf._mms_solution(transient=False)
         norms = []
         for n in (5, 10):
-            system = vf._mms_system(n, stabilization=False)
-            vf._pin_exact_boundary(system, sol)
-            system.set_source(vf.manufactured_source(system, sol, 0.0))
+            system = vf._mms_system(n, sol, stabilization=False)
             u = sol.state(system.mesh, 0.0)
             norms.append(rms(system.residual(u, None, 0.0)))
         assert norms[0] < 1e-6, f"coarse-mesh defect too large: {norms[0]:.2e}"
@@ -116,8 +114,8 @@ class TestManufacturedSource:
             f"defect should shrink at least quadratically: {norms}"
 
     def test_source_shape_matches_quadrature(self):
-        system = vf._mms_system(4)
         sol = vf._mms_solution(transient=False)
+        system = vf._mms_system(4, sol)
         src = vf.manufactured_source(system, sol, 0.0)
         assert src.shape == system.gp_xy.shape[:2] + (3,)
 
