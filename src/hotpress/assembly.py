@@ -30,12 +30,13 @@ magnitudes, then replaces constrained rows (platen temperature, rim
 equilibrium) by their Dirichlet residuals.  The residual is exactly zero for
 a uniform state in equilibrium with all boundary values.
 
-The constitutive state at the element corners (``derive_thermo`` and the
-vapor-density partials) is evaluated in one place,
-``PressSystem._corner_state``; the residual and the explicit rates share
-its result.  ``PressSystem`` has no verification modes: the manufactured-
-solution and frozen-coefficient systems are subclasses in
-``verification``.
+The constitutive state at the element corners is evaluated in one place,
+``PressSystem._corner_state``, and the residual and the explicit rates
+share its result.  ``derive_thermo`` inverts the sorption isotherm in
+closed form once per corner; ``vapor_density_partials`` reuses that
+humidity for the closed-form slopes of rho_v.  ``PressSystem`` has no
+verification modes: the manufactured-solution and frozen-coefficient
+systems are subclasses in ``verification``.
 
 Element integrals are evaluated with 2x2 Gauss quadrature and the
 axisymmetric volume weight r; the factor 2*pi is common to every term and
@@ -179,6 +180,7 @@ def derive_thermo(t_c, h_pct, rho_a, params, epsilon=None):
     p_total = p_air + p_vapor
 
     kappa_z = props.thermal_conductivity_z(t_c, h, params.rho_s)
+    perm_z = props.vertical_permeability(params.rho_s, params)
     return ThermoPoint(
         p_air=p_air,
         hr=hr,
@@ -192,10 +194,8 @@ def derive_thermo(t_c, h_pct, rho_a, params, epsilon=None):
         sorption=props.sorption_heat(h),
         kappa_z=kappa_z,
         kappa_xy=props.thermal_conductivity_xy(kappa_z, params.kappa_anisotropy),
-        perm_z=props.vertical_permeability(params.rho_s, params),
-        perm_xy=props.horizontal_permeability(
-            props.vertical_permeability(params.rho_s, params), params.perm_anisotropy
-        ),
+        perm_z=perm_z,
+        perm_xy=props.horizontal_permeability(perm_z, params.perm_anisotropy),
         viscosity=props.gas_viscosity(t_c),
         diffusivity=props.steam_air_diffusivity(
             np.maximum(p_total, PRESSURE_FLOOR), t_k
@@ -204,28 +204,19 @@ def derive_thermo(t_c, h_pct, rho_a, params, epsilon=None):
     )
 
 
-def vapor_density_map(t_c, h_pct, params):
-    """Vapor density as a function of (T, H) only."""
-    h = np.maximum(np.asarray(h_pct, dtype=float), 0.0)
-    hr = params.isotherm.hr_from_emc(t_c, h)
-    return props.vapor_density(props.saturated_vapor_pressure(t_c), hr)
+def vapor_density_partials(t_c, h_pct, hr, params):
+    """d(rho_v)/dT and d(rho_v)/dH in closed form at the humidity ``hr``
+    that ``derive_thermo`` inverted at the same (T, H).
 
-
-def vapor_density_partials(t_c, h_pct, params, rel_step=1e-6):
-    """d(rho_v)/dT and d(rho_v)/dH by centered differences.
-
-    One stacked evaluation inverts the isotherm for all four perturbed
-    states at once.
+    rho_v is linear in P_sat(T) and in HR(T, H), whose slopes come from the
+    isotherm.  They are zero where HR is clamped, at saturation and for
+    H < 0; there d(rho_v)/dT is the saturation-pressure term alone.
     """
-    t_c = np.asarray(t_c, dtype=float)
-    h = np.asarray(h_pct, dtype=float)
-    dt = rel_step * np.maximum(np.abs(t_c), STATE_SCALE[IDX_T])
-    dh = rel_step * np.maximum(np.abs(h), STATE_SCALE[IDX_H])
-    t_stack = np.stack([t_c + dt, t_c - dt, t_c, t_c])
-    h_stack = np.stack([h, h, h + dh, h - dh])
-    rv = vapor_density_map(t_stack, h_stack, params)
-    drv_dt = (rv[0] - rv[1]) / (2.0 * dt)
-    drv_dh = (rv[2] - rv[3]) / (2.0 * dh)
+    hr_t, hr_h = params.isotherm.hr_slopes(t_c, hr)
+    p_sat = props.saturated_vapor_pressure(t_c)
+    drv_dt = props.vapor_density(props.saturated_vapor_pressure_slope(t_c), hr) \
+        + props.vapor_density(p_sat, hr_t)
+    drv_dh = props.vapor_density(p_sat, np.where(np.asarray(h_pct) < 0.0, 0.0, hr_h))
     return drv_dt, drv_dh
 
 
@@ -436,7 +427,7 @@ class PressSystem:
         """Constitutive state of the element-local states ``ue``."""
         t_n, h_n = ue[:, :, 0], ue[:, :, 1]
         th = derive_thermo(t_n, h_n, ue[:, :, 2], self.params, self.epsilon)
-        rv_t, rv_h = vapor_density_partials(t_n, h_n, self.params)
+        rv_t, rv_h = vapor_density_partials(t_n, h_n, th.hr, self.params)
         return CornerState(th, rv_t, rv_h, th.rho_v)
 
     def _gauss_velocity(self, th):
@@ -595,14 +586,12 @@ class PressSystem:
 
         m_tt = scatter(m_t + s_lat * eps * state.rv_t, sc[IDX_T])
         c_th = scatter(s_lat * (eps * state.rv_h - p.rho_s / 100.0), sc[IDX_T])
-        m_hh = scatter((p.rho_s / 100.0) * self.omega, sc[IDX_H])
-        m_aa = scatter(eps * self.omega, sc[IDX_A])
 
         r_t = rsp[IDX_T::N_VARS]
         r_h = rsp[IDX_H::N_VARS]
         r_a = rsp[IDX_A::N_VARS]
-        d_h = -r_h / m_hh
-        d_a = -r_a / m_aa
+        d_h = -r_h / (self.nodal_volume * (p.rho_s / 100.0 * sc[IDX_H]))
+        d_a = -r_a / (self.nodal_volume * (eps * sc[IDX_A]))
         d_t = (-r_t - c_th * d_h) / m_tt
 
         if not self.sealed_radius:

@@ -21,7 +21,6 @@ are not tunable knobs and live next to the formulas that use them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -183,6 +182,9 @@ def steam_air_diffusivity(p_total, t_k):
     return d if np.ndim(d) else float(d)
 
 
+_PSAT_B = 2141.0  # K, slope of log10(P_sat) in 1/T
+
+
 def saturated_vapor_pressure(t_c):
     """Saturated water-vapor pressure, Kirchhoff-type log-linear fit.
 
@@ -197,8 +199,14 @@ def saturated_vapor_pressure(t_c):
         P_sat [N/m2]; ~1.02e5 at 100 degC.
     """
     t = np.asarray(t_c, dtype=float)
-    p = 10.0 ** (10.745 - 2141.0 / (t + KELVIN))
+    p = 10.0 ** (10.745 - _PSAT_B / (t + KELVIN))
     return p if np.ndim(p) else float(p)
+
+
+def saturated_vapor_pressure_slope(t_c):
+    """d(P_sat)/dT [N/(m2 K)] of ``saturated_vapor_pressure``."""
+    t_k = np.asarray(t_c, dtype=float) + KELVIN
+    return saturated_vapor_pressure(t_c) * np.log(10.0) * _PSAT_B / t_k**2
 
 
 def vapor_density(p_sat, hr_pct):
@@ -290,6 +298,34 @@ def porosity(rho, params):
 # sorption isotherm
 # ---------------------------------------------------------------------------
 
+# Hailwood-Horrobin W, k, k1, k2 as quadratics c0 + c1 F + c2 F^2 in degF
+_HH_POLYNOMIALS = ((330.0, 0.452, 0.00415), (0.791, 4.63e-4, -8.44e-7),
+                   (6.34, 7.75e-4, -9.35e-5), (1.09, 2.84e-2, -9.04e-5))
+
+
+def _surface(x, a, b):
+    """(g, dg/dx, num, den) of g = x/(1-x) + num/den with
+    num = a x + 2b x^2 and den = 1 + a x + b x^2."""
+    num = a * x + 2.0 * b * x**2
+    den = 1.0 + a * x + b * x**2
+    g_x = 1.0 / (1.0 - x) ** 2 \
+        + ((a + 4.0 * b * x) * den - num * (a + 2.0 * b * x)) / den**2
+    return x / (1.0 - x) + num / den, g_x, num, den
+
+
+def _cubic_root(c3, c2, c1, c0, j):
+    """Real root of c3 s^3 + c2 s^2 + c1 s + c0: the largest (j = 0) or the
+    middle one (j = 1) of three real roots, else the only real root."""
+    b, c, d = c2 / c3, c1 / c3, c0 / c3
+    p, q = c - b * b / 3.0, 2.0 * b**3 / 27.0 - b * c / 3.0 + d
+    disc = q * q / 4.0 + p**3 / 27.0
+    sq = np.sqrt(np.abs(disc))
+    three = 2.0 * np.sqrt(np.maximum(-p / 3.0, 0.0)) \
+        * np.cos((np.arctan2(sq, -q / 2.0) - 2.0 * np.pi * j) / 3.0)
+    u = np.cbrt(-q / 2.0 - np.copysign(sq, q))  # Cardano, larger-modulus term
+    return np.where(disc <= 0.0, three, u - p / (3.0 * u)) - b / 3.0
+
+
 @dataclass(frozen=True)
 class HailwoodHorrobinIsotherm:
     """Two-hydrate sorption surface EMC(T, RH) for wood-based material.
@@ -304,86 +340,78 @@ class HailwoodHorrobinIsotherm:
     scale: float = 1.0
     t_range: tuple = (0.0, 115.0)  # degC
 
+    def _coefficients(self, t_c):
+        """``(pref, k, a, b)`` of EMC = pref g(k RH/100, a, b) at T [degC],
+        with pref = scale 1800/W, a = k1 and b = k1 k2, and their
+        T-derivatives [1/degC], which are zero outside ``t_range``."""
+        t = np.asarray(t_c, dtype=float)
+        t_f = np.clip(t, *self.t_range) * 1.8 + 32.0
+        df_dt = 1.8 * ((t >= self.t_range[0]) & (t <= self.t_range[1]))
+        (w, k, k1, k2), (dw, dk, dk1, dk2) = zip(*(
+            (c0 + c1 * t_f + c2 * t_f**2, df_dt * (c1 + 2.0 * c2 * t_f))
+            for c0, c1, c2 in _HH_POLYNOMIALS))
+        pref = self.scale * (1800.0 / w)
+        return (pref, k, k1, k1 * k2), (-pref * dw / w, dk, dk1, dk1 * k2 + k1 * dk2)
+
     def emc(self, t_c, hr_pct):
         """Equilibrium moisture content [%] at T [degC] and RH [%]."""
-        t_f = np.clip(np.asarray(t_c, dtype=float), *self.t_range) * 1.8 + 32.0
-        h = np.asarray(hr_pct, dtype=float) / 100.0
-        w = 330.0 + 0.452 * t_f + 0.00415 * t_f**2
-        k = 0.791 + 4.63e-4 * t_f - 8.44e-7 * t_f**2
-        k1 = 6.34 + 7.75e-4 * t_f - 9.35e-5 * t_f**2
-        k2 = 1.09 + 2.84e-2 * t_f - 9.04e-5 * t_f**2
-        kh = k * h
-        mono = kh / (1.0 - kh)
-        poly = (k1 * kh + 2.0 * k1 * k2 * kh**2) / (1.0 + k1 * kh + k1 * k2 * kh**2)
-        out = self.scale * (1800.0 / w) * (mono + poly)
+        (pref, k, a, b), _ = self._coefficients(t_c)
+        out = pref * _surface(k * (np.asarray(hr_pct, dtype=float) / 100.0), a, b)[0]
         return out if np.ndim(out) else float(out)
 
-    def hr_from_emc(self, t_c, h_pct, n_bisect=18, n_polish=4):
+    def hr_from_emc(self, t_c, h_pct):
         """Invert the surface: RH [%] that equilibrates at moisture H [%].
 
-        Bisection on [0, 100] followed by Newton polish so the root is a
-        numerically smooth function of (T, H); the temperature polynomials
-        are hoisted out of the iteration.  Moisture above the saturated
-        value EMC(T, 100) returns 100 (saturated pore gas).
+        With x = k RH/100 and y = H/pref, EMC(T, RH) = H clears to the cubic
+        b(y-1) x^3 + (2b - y(b-a)) x^2 + (1 + a - y(a-1)) x - y = 0, whose
+        one root in [0, k] is taken in closed form; for y >= 1/2 the cubic
+        is solved for 1/x, since its x^3 coefficient vanishes at y = 1.
+        Two Newton steps on the surface remove the roundoff of the closed
+        form.  Moisture at or above the saturated value EMC(T, 100)
+        returns 100 (saturated pore gas).
 
         Raises
         ------
         ConvergenceError
-            If the polished root does not reproduce H to 1e-6 %.
+            If the root does not reproduce H to 1e-6 %.
         """
-        t = np.asarray(t_c, dtype=float)
         target = np.asarray(h_pct, dtype=float)
-        scalar = np.ndim(t) == 0 and np.ndim(target) == 0
-        t, target = np.broadcast_arrays(t, target)
-        target = np.asarray(target, dtype=float)
+        (pref, k, a, b), _ = self._coefficients(t_c)
+        y = target / pref
+        y_sat = _surface(k, a, b)[0]
+        y_eq = np.minimum(y, y_sat)
+        flip = y >= 0.5
+        cubic = (b * (y - 1.0), 2.0 * b - y * (b - a), 1.0 + a - y * (a - 1.0), -y)
+        # below y = 1/2 the cubic has three real roots and x is the middle
+        # one; 1/x is the largest real root of the reversed cubic
+        root = _cubic_root(*(np.where(flip, rev, fwd)
+                             for fwd, rev in zip(cubic, cubic[::-1])),
+                           np.where(flip, 0, 1))
+        x = np.clip(root ** np.where(flip, -1.0, 1.0), 0.0, k)
+        for _ in range(2):
+            g, g_x = _surface(x, a, b)[:2]
+            x = np.clip(x - (g - y_eq) / g_x, 0.0, k)
+        hr = np.where(y >= y_sat, 100.0, 100.0 * x / k)
 
-        t_f = np.clip(t, *self.t_range) * 1.8 + 32.0
-        w = 330.0 + 0.452 * t_f + 0.00415 * t_f**2
-        k = 0.791 + 4.63e-4 * t_f - 8.44e-7 * t_f**2
-        k1 = 6.34 + 7.75e-4 * t_f - 9.35e-5 * t_f**2
-        k2 = 1.09 + 2.84e-2 * t_f - 9.04e-5 * t_f**2
-        pref = self.scale * 1800.0 / w
-        k1k2 = k1 * k2
-
-        def surface(hr):
-            x = k * (hr / 100.0)
-            return pref * (
-                x / (1.0 - x)
-                + (k1 * x + 2.0 * k1k2 * x**2) / (1.0 + k1 * x + k1k2 * x**2)
-            )
-
-        lo = np.zeros_like(target, dtype=float)
-        hi = np.full_like(target, 100.0, dtype=float)
-        emc_hi = surface(hi)
-        saturated = target >= emc_hi
-        for _ in range(n_bisect):
-            mid = 0.5 * (lo + hi)
-            above = surface(mid) > target
-            hi = np.where(above, mid, hi)
-            lo = np.where(above, lo, mid)
-        hr = 0.5 * (lo + hi)
-        for _ in range(n_polish):
-            x = k * (hr / 100.0)
-            mono = x / (1.0 - x)
-            dmono = 1.0 / (1.0 - x) ** 2
-            num = k1 * x + 2.0 * k1k2 * x**2
-            den = 1.0 + k1 * x + k1k2 * x**2
-            emc = pref * (mono + num / den)
-            slope = pref * (
-                dmono + ((k1 + 4.0 * k1k2 * x) * den - num * (k1 + 2.0 * k1k2 * x))
-                / den**2
-            ) * k / 100.0
-            step = np.where(slope > 0.0, (emc - target) / np.where(slope > 0, slope, 1.0), 0.0)
-            hr = np.clip(hr - step, 0.0, 100.0)
-        hr = np.where(saturated, 100.0, hr)
-
-        resid = np.abs(surface(hr) - np.minimum(target, emc_hi))
+        resid = np.abs(pref * (_surface(x, a, b)[0] - y_eq))
         if np.any(resid > 1e-6):
             raise ConvergenceError(
                 f"isotherm inversion residual {float(np.max(resid)):.2e} % "
                 f"exceeds 1e-6 (T={t_c!r}, H={h_pct!r})"
             )
-        return float(hr) if scalar else hr
+        return hr if np.ndim(hr) else float(hr)
+
+    def hr_slopes(self, t_c, hr_pct):
+        """(dRH/dT, dRH/dH) of the inverse at (T [degC], RH [%]), by the
+        implicit function theorem; both are zero at saturation (RH = 100)."""
+        (pref, k, a, b), (dpref, dk, da, db) = self._coefficients(t_c)
+        h = np.asarray(hr_pct, dtype=float) / 100.0
+        x = k * h
+        g, g_x, num, den = _surface(x, a, b)
+        g_ab = (x * (den - num) * da + x**2 * (2.0 * den - num) * db) / den**2
+        emc_t = dpref * g + pref * (g_x * dk * h + g_ab)
+        emc_hr = np.where(h < 1.0, pref * g_x * k / 100.0, np.inf)
+        return -emc_t / emc_hr, 1.0 / emc_hr
 
     @classmethod
     def calibrated(cls, t_c=30.0, hr_pct=65.0, emc_target=11.0):
@@ -422,8 +450,8 @@ class MaterialParams:
         permeability (59).
     cp_vapor : float
         Specific heat of water vapor [J/(kg K)].
-    mm_water, mm_air : float
-        Molar masses [kg/kmol].
+    mm_air : float
+        Molar mass of air [kg/kmol].
     r_gas : float
         Universal gas constant [J/(kmol K)].
     porosity_model : str
@@ -442,7 +470,6 @@ class MaterialParams:
     kappa_anisotropy: float = 1.5
     perm_anisotropy: float = 59.0
     cp_vapor: float = 1880.0       # J/(kg K)
-    mm_water: float = 18.0         # kg/kmol
     mm_air: float = 28.96          # kg/kmol
     r_gas: float = 8314.0          # J/(kmol K)
     porosity_model: str = "suzuki"
@@ -457,7 +484,7 @@ class MaterialParams:
     def __post_init__(self):
         if self.rho_s <= 0:
             raise DomainError("rho_s must be positive")
-        for name in ("rho_f", "rho_r", "cp_vapor", "mm_water", "mm_air", "r_gas"):
+        for name in ("rho_f", "rho_r", "cp_vapor", "mm_air", "r_gas"):
             if getattr(self, name) <= 0:
                 raise DomainError(f"{name} must be positive")
         if not 0.0 <= self.y_r < 1.0:

@@ -324,7 +324,7 @@ _OPTIONAL_SECTIONS = ("boundary", "solver")
 # material keys map 1:1 onto MaterialParams keyword arguments; the
 # sorption surface is configured through its scale factor instead.
 _MATERIAL_OPTIONAL = ("bulk_density", "kappa_anisotropy", "perm_anisotropy",
-                      "cp_vapor", "mm_water", "mm_air", "r_gas",
+                      "cp_vapor", "mm_air", "r_gas",
                       "porosity_model", "rho_f", "rho_r", "y_r",
                       "perm_table_path")
 _SOLVER_KEYS = ("dt", "scheme", "t_end", "output_times", "newton_tol_rel",
@@ -408,6 +408,7 @@ def load_scenario(text):
     mat_kwargs = {"rho_s": _number(_take(matsec, "material", "rho_s"),
                                    "material.rho_s")}
     iso_scale = matsec.pop("isotherm_scale", None)
+    matsec.pop("mm_water", None)  # unused key of earlier files, ignored
     for key in _MATERIAL_OPTIONAL:
         if key in matsec:
             mat_kwargs[key] = matsec.pop(key)
@@ -504,22 +505,9 @@ def save_scenario(scenario):
             "n_z": scenario.n_z,
             "grading_ratio": scenario.grading_ratio,
         },
-        "material": {
-            "rho_s": mat.rho_s,
-            "bulk_density": mat.bulk_density,
-            "kappa_anisotropy": mat.kappa_anisotropy,
-            "perm_anisotropy": mat.perm_anisotropy,
-            "cp_vapor": mat.cp_vapor,
-            "mm_water": mat.mm_water,
-            "mm_air": mat.mm_air,
-            "r_gas": mat.r_gas,
-            "porosity_model": mat.porosity_model,
-            "rho_f": mat.rho_f,
-            "rho_r": mat.rho_r,
-            "y_r": mat.y_r,
-            "perm_table_path": mat.perm_table_path,
-            "isotherm_scale": mat.isotherm.scale,
-        },
+        "material": {"rho_s": mat.rho_s,
+                     **{key: getattr(mat, key) for key in _MATERIAL_OPTIONAL},
+                     "isotherm_scale": mat.isotherm.scale},
         "schedule": {
             "breakpoints": [[t, temp] for t, temp in scenario.schedule.breakpoints],
         },
@@ -536,17 +524,9 @@ def save_scenario(scenario):
         "boundary": {
             "sealed_radius": scenario.sealed_radius,
         },
-        "solver": {
-            "dt": scenario.solver.dt,
-            "scheme": scenario.solver.scheme,
-            "t_end": scenario.solver.t_end,
-            "output_times": list(scenario.solver.output_times),
-            "newton_tol_rel": scenario.solver.newton_tol_rel,
-            "newton_tol_abs": scenario.solver.newton_tol_abs,
-            "newton_max_iter": scenario.solver.newton_max_iter,
-            "fd_epsilon_rel": scenario.solver.fd_epsilon_rel,
-            "store_all": scenario.solver.store_all,
-        },
+        # the output_times tuple is written as a list, in its place
+        "solver": {**{key: getattr(scenario.solver, key) for key in _SOLVER_KEYS},
+                   "output_times": list(scenario.solver.output_times)},
     }
     return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False)
 

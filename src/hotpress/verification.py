@@ -274,7 +274,7 @@ def _pointwise_flux(system, sol, r, z, t):
     tf, hf, af = sol.t_field, sol.h_field, sol.a_field
     tv, hv, av = tf(r, z, t), hf(r, z, t), af(r, z, t)
     th = derive_thermo(tv, hv, av, p, eps)
-    rv_t, rv_h = vapor_density_partials(tv, hv, p)
+    rv_t, rv_h = vapor_density_partials(tv, hv, th.hr, p)
 
     gt_r, gt_z = tf.d_r(r, z, t), tf.d_z(r, z, t)
     gh_r, gh_z = hf.d_r(r, z, t), hf.d_z(r, z, t)
@@ -310,7 +310,7 @@ def _storage_terms(system, sol, r, z, t):
     tf, hf, af = sol.t_field, sol.h_field, sol.a_field
     tv, hv = tf(r, z, t), hf(r, z, t)
     th = derive_thermo(tv, hv, af(r, z, t), p, eps)
-    rv_t, rv_h = vapor_density_partials(tv, hv, p)
+    rv_t, rv_h = vapor_density_partials(tv, hv, th.hr, p)
     dt_dt = tf.d_t(r, z, t)
     dh_dt = hf.d_t(r, z, t)
     da_dt = af.d_t(r, z, t)

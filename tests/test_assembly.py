@@ -116,24 +116,32 @@ class TestDerivedState:
 
 class TestVaporDensityPartials:
     def test_signs(self, params):
-        dt, dh = asm.vapor_density_partials(80.0, 8.0, params)
+        th = asm.derive_thermo(80.0, 8.0, 0.5, params)
+        dt, dh = asm.vapor_density_partials(80.0, 8.0, th.hr, params)
         assert dt > 0.0, "vapor density must rise with temperature"
         assert dh > 0.0, "vapor density must rise with moisture below saturation"
 
     def test_matches_coarse_difference(self, params):
-        t0, h0 = 70.0, 9.0
-        dt_fine, dh_fine = asm.vapor_density_partials(t0, h0, params)
+        def rho_v(t, h):
+            return asm.derive_thermo(t, h, 0.5, params).rho_v
+
         step = 1e-4
-        dt_coarse = (
-            asm.vapor_density_map(t0 + step, h0, params)
-            - asm.vapor_density_map(t0 - step, h0, params)
-        ) / (2 * step)
-        dh_coarse = (
-            asm.vapor_density_map(t0, h0 + step, params)
-            - asm.vapor_density_map(t0, h0 - step, params)
-        ) / (2 * step)
-        assert dt_fine == pytest.approx(dt_coarse, rel=1e-5)
-        assert dh_fine == pytest.approx(dh_coarse, rel=1e-5)
+        # below the isotherm's temperature clamp, above it, and saturated
+        for t0, h0 in ((70.0, 9.0), (130.0, 10.0), (30.0, 40.0)):
+            hr = asm.derive_thermo(t0, h0, 0.5, params).hr
+            dt_exact, dh_exact = asm.vapor_density_partials(t0, h0, hr, params)
+            dt_coarse = (rho_v(t0 + step, h0) - rho_v(t0 - step, h0)) / (2 * step)
+            dh_coarse = (rho_v(t0, h0 + step) - rho_v(t0, h0 - step)) / (2 * step)
+            assert dt_exact == pytest.approx(dt_coarse, rel=1e-6), (t0, h0)
+            if hr < 100.0:
+                assert dh_exact == pytest.approx(dh_coarse, rel=1e-6), (t0, h0)
+                continue
+            # saturated: both slopes of the humidity vanish, so rho_v follows
+            # P_sat(T) alone and does not depend on H
+            assert params.isotherm.hr_slopes(t0, hr) == (0.0, 0.0)
+            assert dh_exact == 0.0 and dh_coarse == 0.0
+            assert dt_exact == pytest.approx(props.vapor_density(
+                props.saturated_vapor_pressure_slope(t0), 100.0), rel=1e-14)
 
 
 class TestDarcyVelocity:
@@ -303,7 +311,7 @@ class TestResidual:
             spatial[asm.IDX_H::3]).max(), "moisture rows should vanish"
 
         th = asm.derive_thermo(100.0, 11.0, 0.5, params)
-        _, rv_h = asm.vapor_density_partials(100.0, 11.0, params)
+        _, rv_h = asm.vapor_density_partials(100.0, 11.0, th.hr, params)
         expect = (th.latent + th.sorption) * (
             system.epsilon * rv_h - params.rho_s / 100.0) * dh_dt * omega
         energy = r_full[asm.IDX_T::3] / scale[asm.IDX_T]

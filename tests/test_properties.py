@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hotpress import properties as pr
 from hotpress.errors import ConvergenceError, DomainError
@@ -178,12 +180,28 @@ class TestSorptionIsotherm:
 
     def test_round_trip(self, params):
         iso = params.isotherm
-        for t_c in (5.0, 30.0, 70.0, 110.0):
-            for h in (2.0, 6.0, 11.0, 15.0):
+        # 130 and 160 degC lie above the temperature clamp
+        for t_c in (5.0, 30.0, 70.0, 110.0, 130.0, 160.0):
+            near_sat = iso.emc(t_c, 100.0) * (1.0 - 1e-9)
+            for h in (2.0, 6.0, 11.0, 15.0, near_sat):
                 hr = iso.hr_from_emc(t_c, h)
-                assert iso.emc(t_c, hr) == pytest.approx(h, abs=1e-6), (
+                assert hr < 100.0
+                assert iso.emc(t_c, hr) == pytest.approx(h, abs=1e-10), (
                     f"round trip failed at T={t_c}, H={h}"
                 )
+
+    @settings(deadline=None)
+    @given(t_c=st.floats(0.0, 200.0), h1=st.floats(0.0, 30.0),
+           h2=st.floats(0.0, 30.0))
+    def test_inverse_property(self, params, t_c, h1, h2):
+        iso = params.isotherm
+        lo, hi = sorted((h1, h2))
+        hr_lo, hr_hi = iso.hr_from_emc(t_c, lo), iso.hr_from_emc(t_c, hi)
+        saturated = iso.emc(t_c, 100.0)
+        for h, hr in ((lo, hr_lo), (hi, hr_hi)):
+            assert 0.0 <= hr <= 100.0
+            assert iso.emc(t_c, hr) == pytest.approx(min(h, saturated), abs=1e-10)
+        assert hr_lo <= hr_hi
 
     def test_inverse_monotone_in_moisture(self, params):
         iso = params.isotherm

@@ -260,6 +260,16 @@ class TestSerialization:
         assert loaded.solver == SolverConfig(), \
             "missing solver section should fall back to defaults"
 
+    def test_files_with_and_without_mm_water_load(self):
+        # earlier versions wrote material.mm_water; it is accepted and ignored
+        sc = humphrey_preset()
+        text = save_scenario(sc)
+        assert "mm_water" not in text
+        old = text.replace("material:\n", "material:\n  mm_water: 18.0\n")
+        assert "mm_water: 18.0" in old
+        assert load_scenario(text) == sc
+        assert load_scenario(old) == sc
+
     def test_isotherm_scale_round_trips(self):
         sc = humphrey_preset()
         again = load_scenario(save_scenario(sc))
