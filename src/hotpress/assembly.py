@@ -491,25 +491,31 @@ class PressSystem:
                        adv_t, g_rv, g_a)
 
         if due is not None:
-            # row-sum lumped storage plus the latent chain-rule coupling
-            m_t, s_lat = self._energy_storage(th)
+            c_tt, c_th = self._energy_storage(state)
             d_t = due[:, :, IDX_T]
             d_h = due[:, :, IDX_H]
-            mdot = eps * (state.rv_t * d_t + state.rv_h * d_h) \
-                - (p.rho_s / 100.0) * d_h
-            re[:, :, IDX_T] += m_t * d_t + s_lat * mdot
+            re[:, :, IDX_T] += c_tt * d_t + c_th * d_h
             re[:, :, IDX_H] += (p.rho_s / 100.0) * self.omega * d_h
             re[:, :, IDX_A] += eps * self.omega * due[:, :, IDX_A]
 
         return re * self.row_scale[None, None, :]
 
-    def _energy_storage(self, th):
-        """Lumped heat capacity and latent weight of each element corner."""
+    def _energy_storage(self, state):
+        """Row-sum lumped energy storage of each element corner: the
+        coefficients (c_tt, c_th) of dT/dt and dH/dt in the energy row.
+
+        The phase-change heat is charged once, as (lambda + Q) * mdot with
+        mdot = eps (rv_t dT/dt + rv_h dH/dt) - (rho_s/100) dH/dt.
+        """
+        th = state.thermo
+        p = self.params
         cp_g = self._at_gauss(th.cp)
         lamql_g = self._at_gauss(th.latent + th.sorption)
-        m_t = np.einsum("eg,ga->ea", self.wdetr * cp_g, self.shape) * self.params.rho_s
+        m_t = np.einsum("eg,ga->ea", self.wdetr * cp_g, self.shape) * p.rho_s
         s_lat = np.einsum("eg,ga->ea", self.wdetr * lamql_g, self.shape)
-        return m_t, s_lat
+        c_tt = m_t + s_lat * self.epsilon * state.rv_t
+        c_th = s_lat * (self.epsilon * state.rv_h - p.rho_s / 100.0)
+        return c_tt, c_th
 
     def _add_supg(self, re, v_r, v_z, rvc_g, kxy_g, kz_g, epsd_g,
                   strong_t, g_rv, g_a):
@@ -572,7 +578,7 @@ class PressSystem:
         ue = self._gather(u)
         state = self._corner_state(ue)
         re = self.element_residual(ue, None, t, state)  # spatial part only, scaled
-        m_t, s_lat = self._energy_storage(state.thermo)
+        c_tt, c_th = self._energy_storage(state)
 
         sc = self.row_scale
         n = self.mesh.n_nodes
@@ -584,8 +590,8 @@ class PressSystem:
             np.add.at(out, self.mesh.elements, field * scale)
             return out
 
-        m_tt = scatter(m_t + s_lat * eps * state.rv_t, sc[IDX_T])
-        c_th = scatter(s_lat * (eps * state.rv_h - p.rho_s / 100.0), sc[IDX_T])
+        m_tt = scatter(c_tt, sc[IDX_T])
+        c_th = scatter(c_th, sc[IDX_T])
 
         r_t = rsp[IDX_T::N_VARS]
         r_h = rsp[IDX_H::N_VARS]

@@ -420,16 +420,6 @@ class HailwoodHorrobinIsotherm:
         return cls(scale=emc_target / raw)
 
 
-def relative_humidity_from_sorption(t_c, h_pct, isotherm=None):
-    """Relative humidity [%] in equilibrium with moisture H [%] at T [degC]."""
-    if isotherm is None:
-        isotherm = _DEFAULT_ISOTHERM
-    return isotherm.hr_from_emc(t_c, h_pct)
-
-
-_DEFAULT_ISOTHERM = HailwoodHorrobinIsotherm.calibrated()
-
-
 # ---------------------------------------------------------------------------
 # material parameter bundle
 # ---------------------------------------------------------------------------

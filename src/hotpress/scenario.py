@@ -2,17 +2,22 @@
 
 A :class:`Scenario` bundles everything needed to reproduce a run: board
 geometry, mesh controls, material constants, the platen temperature
-program, initial and ambient conditions, and the solver knobs.
-Scenarios load from and save to a small YAML document (grammar in the
-README); :func:`humphrey_preset` returns the built-in ``humphrey``
-demonstration case (a 0.2828 m radius, 15 mm thick board heated from
-30 to 160 degC and held for 400 s).
+program, initial and ambient conditions, and the solver configuration
+(:class:`~hotpress.solver.SolverConfig`, defined with the solver that
+reads it and re-exported here).  Scenarios load from and save to a small
+YAML document (grammar in the README); :func:`humphrey_preset` returns
+the built-in ``humphrey`` demonstration case (a 0.2828 m radius, 15 mm
+thick board heated from 30 to 160 degC and held for 400 s).
 
 Physical fields carry no defaults — every case states its geometry,
 material, schedule, and initial/ambient conditions explicitly.  The two
 exceptions are documented: ambient pressure defaults to one standard
 atmosphere, and the numerical knobs in :class:`SolverConfig` default to
 the values used throughout the test suite.
+
+The loader rejects a malformed field with its dotted name (for example
+``solver.dt``): every numeric key must be a number and every flag a
+boolean.
 """
 
 import warnings
@@ -29,7 +34,7 @@ from .properties import (
     MaterialParams,
     saturated_vapor_pressure,
 )
-from .solver import NewtonOptions, run_transient
+from .solver import SolverConfig, run_transient
 
 __all__ = [
     "PressSchedule",
@@ -99,84 +104,6 @@ class PressSchedule:
 
 
 # ---------------------------------------------------------------------------
-# solver knobs
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Time integration and Newton controls for one run.
-
-    These are numerical knobs, not physics, so defaults are allowed.
-    ``t_end = 0`` is accepted and means "evaluate the initial state
-    only" (no steps are taken).
-
-    Parameters
-    ----------
-    dt : float
-        Time step [s].
-    scheme : {"implicit", "explicit"}
-        Backward or forward Euler.
-    t_end : float
-        Final time [s].
-    output_times : tuple of float
-        Times [s] at which full-field snapshots are recorded; sorted and
-        deduplicated on construction.
-    newton_tol_rel, newton_tol_abs : float
-        Relative and absolute convergence targets on the scaled residual
-        RMS of the implicit solve.
-    newton_max_iter : int
-        Iteration cap per implicit step before the step size is halved.
-    fd_epsilon_rel : float
-        Relative perturbation for the finite-difference Jacobian.
-    store_all : bool
-        Keep every accepted state in memory (needed for trajectory
-        diagnostics; off by default to bound memory).
-    """
-
-    dt: float = 1.0                # s
-    scheme: str = "implicit"
-    t_end: float = 400.0           # s
-    output_times: tuple = ()
-    newton_tol_rel: float = 1e-10
-    newton_tol_abs: float = 5e-14
-    newton_max_iter: int = 15
-    fd_epsilon_rel: float = 1e-7
-    store_all: bool = False
-
-    def __post_init__(self):
-        if not (np.isfinite(self.dt) and self.dt > 0.0):
-            raise ScenarioError("dt must be a positive number")
-        if self.scheme not in ("implicit", "explicit"):
-            raise ScenarioError(
-                f"scheme must be 'implicit' or 'explicit', got {self.scheme!r}")
-        if not (np.isfinite(self.t_end) and self.t_end >= 0.0):
-            raise ScenarioError("t_end must be non-negative")
-        for name in ("newton_tol_rel", "newton_tol_abs", "fd_epsilon_rel"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ScenarioError(f"{name} must lie in (0, 1)")
-        if int(self.newton_max_iter) != self.newton_max_iter \
-                or self.newton_max_iter < 1:
-            raise ScenarioError("newton_max_iter must be a positive integer")
-        times = sorted({float(t) for t in self.output_times})
-        if any(not np.isfinite(t) or t <= 0.0 for t in times):
-            raise ScenarioError("output_times must be positive and finite")
-        object.__setattr__(self, "output_times", tuple(times))
-        object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "t_end", float(self.t_end))
-        object.__setattr__(self, "newton_max_iter", int(self.newton_max_iter))
-
-    def newton_options(self):
-        """Bundle the Newton knobs for the implicit stepper."""
-        return NewtonOptions(
-            tol_rel=self.newton_tol_rel,
-            tol_abs=self.newton_tol_abs,
-            max_iter=self.newton_max_iter,
-            fd_epsilon_rel=self.fd_epsilon_rel,
-        )
-
-
-# ---------------------------------------------------------------------------
 # full case description
 # ---------------------------------------------------------------------------
 
@@ -236,7 +163,7 @@ class Scenario:
                 raise ScenarioError(f"{name} must be a positive number")
         for name in ("n_r", "n_z"):
             value = getattr(self, name)
-            if int(value) != value or value < 1:
+            if not (np.isfinite(value) and value >= 1 and int(value) == value):
                 raise ScenarioError(f"{name} must be a positive integer")
             object.__setattr__(self, name, int(value))
         if not isinstance(self.material, MaterialParams):
@@ -327,6 +254,8 @@ _MATERIAL_OPTIONAL = ("bulk_density", "kappa_anisotropy", "perm_anisotropy",
                       "cp_vapor", "mm_air", "r_gas",
                       "porosity_model", "rho_f", "rho_r", "y_r",
                       "perm_table_path")
+# the material keys that hold text; every other one is a number
+_MATERIAL_TEXT = ("porosity_model", "perm_table_path")
 _SOLVER_KEYS = ("dt", "scheme", "t_end", "output_times", "newton_tol_rel",
                 "newton_tol_abs", "newton_max_iter", "fd_epsilon_rel",
                 "store_all")
@@ -398,8 +327,8 @@ def load_scenario(text):
     _reject_unknown(geometry, "geometry")
 
     meshsec = _mapping(root.pop("mesh"), "mesh")
-    n_r = _take(meshsec, "mesh", "n_r")
-    n_z = _take(meshsec, "mesh", "n_z")
+    n_r = _number(_take(meshsec, "mesh", "n_r"), "mesh.n_r")
+    n_z = _number(_take(meshsec, "mesh", "n_z"), "mesh.n_z")
     grading = _number(_take(meshsec, "mesh", "grading_ratio"),
                       "mesh.grading_ratio")
     _reject_unknown(meshsec, "mesh")
@@ -411,7 +340,12 @@ def load_scenario(text):
     matsec.pop("mm_water", None)  # unused key of earlier files, ignored
     for key in _MATERIAL_OPTIONAL:
         if key in matsec:
-            mat_kwargs[key] = matsec.pop(key)
+            value = matsec.pop(key)
+            # a null bulk density means "equal to rho_s"
+            if key not in _MATERIAL_TEXT and not (
+                    key == "bulk_density" and value is None):
+                value = _number(value, f"material.{key}")
+            mat_kwargs[key] = value
     _reject_unknown(matsec, "material")
     if iso_scale is not None:
         mat_kwargs["isotherm"] = HailwoodHorrobinIsotherm(
@@ -467,16 +401,21 @@ def load_scenario(text):
     if "solver" in root:
         solsec = _mapping(root.pop("solver"), "solver")
         for key in _SOLVER_KEYS:
-            if key in solsec:
-                solver_kwargs[key] = solsec.pop(key)
+            if key not in solsec:
+                continue
+            value = solsec.pop(key)
+            where = f"solver.{key}"
+            if key == "output_times":
+                if not isinstance(value, list):
+                    raise ScenarioError(f"{where} must be a list of times")
+                value = tuple(_number(t, f"{where} entry") for t in value)
+            elif key == "store_all":
+                if not isinstance(value, bool):
+                    raise ScenarioError(f"{where} must be a boolean")
+            elif key != "scheme":
+                value = _number(value, where)
+            solver_kwargs[key] = value
         _reject_unknown(solsec, "solver")
-        if "output_times" in solver_kwargs:
-            raw = solver_kwargs["output_times"]
-            if not isinstance(raw, list):
-                raise ScenarioError(
-                    "solver.output_times must be a list of times")
-            solver_kwargs["output_times"] = tuple(
-                _number(t, "solver.output_times entry") for t in raw)
     _reject_unknown(root, "config root")
 
     return Scenario(
@@ -603,12 +542,9 @@ def run_scenario(scenario, mesh=None, log=None, store_all=None):
     system = build_system(scenario, mesh)
     u0 = initial_state(scenario, system.mesh)
     cfg = scenario.solver
-    result = run_transient(
-        system, u0, t_end=cfg.t_end, dt=cfg.dt, scheme=cfg.scheme,
-        output_times=cfg.output_times, opts=cfg.newton_options(),
-        store_all=cfg.store_all if store_all is None else store_all,
-        log=log)
-    return system, result
+    if store_all is not None:
+        cfg = replace(cfg, store_all=store_all)
+    return system, run_transient(system, u0, cfg, log=log)
 
 
 def with_overrides(scenario, dt=None, t_end=None, scheme=None):

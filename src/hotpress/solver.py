@@ -6,10 +6,17 @@ Implicit (backward Euler) stepping solves
 
 by Newton iteration with an element-wise finite-difference Jacobian: twelve
 perturbed element-residual evaluations (one per local dof) plus the base,
-scattered into one sparse matrix.  The explicit scheme advances the
+scattered into one sparse matrix.  At dt = inf the rate (v - u_n)/dt and
+its perturbation vanish, so the same Newton loop solves the steady
+problem ``R_spatial(v) = 0``.  The explicit scheme advances the
 closed-form lumped rates and then re-assigns the constrained values.  Both
 schemes integrate the same semi-discrete system, so their trajectories
 agree to second order in dt.
+
+:class:`SolverConfig` is the one solver configuration: ``run_transient``,
+``implicit_step`` and ``newton_solve`` read their step, horizon, scheme,
+output and Newton controls from it.  The knobs that have a single value
+in every run are module constants.
 """
 
 from __future__ import annotations
@@ -22,30 +29,87 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
 from .assembly import N_VARS, STATE_SCALE, validate_state
-from .errors import HotPressError, LinearSolveError, NewtonError
+from .errors import HotPressError, LinearSolveError, NewtonError, \
+    ScenarioError
+
+# dt halvings of a failed implicit step before the run gives up
+MAX_HALVINGS = 5
+# iterative refinement of each linear solve: stop below this relative
+# residual, or after this many back-substitutions
+REFINE_TOL = 1e-12
+MAX_REFINE = 5
+# accepted states may undershoot zero air density by this much [kg/m3];
+# bounds the dip of the under-resolved rim layer without letting a
+# diverging run through (see validate_state)
+AIR_UNDERSHOOT_TOL = 0.05
 
 
-@dataclass
-class NewtonOptions:
-    """Tuning knobs of the implicit stepper.
+@dataclass(frozen=True)
+class SolverConfig:
+    """Time integration and Newton controls for one run.
 
-    Convergence uses the root-mean-square of the scaled residual: a step is
-    accepted when it falls below ``max(tol_rel * initial, tol_abs)``.  The
-    absolute floor is what makes the per-step water balance close tightly
-    on quasi-steady steps where the relative criterion alone would stop
-    early.
+    These are numerical knobs, not physics, so defaults are allowed.
+    ``t_end = 0`` is accepted and means "evaluate the initial state
+    only" (no steps are taken).
+
+    Parameters
+    ----------
+    dt : float
+        Time step [s].
+    scheme : {"implicit", "explicit"}
+        Backward or forward Euler.
+    t_end : float
+        Final time [s].
+    output_times : tuple of float
+        Times [s] at which full-field snapshots are recorded; sorted and
+        deduplicated on construction.
+    newton_tol_rel, newton_tol_abs : float
+        Convergence targets on the root-mean-square of the scaled
+        residual: a Newton solve stops below ``max(newton_tol_rel *
+        initial, newton_tol_abs)``.  The absolute floor is what makes the
+        per-step water balance close tightly on quasi-steady steps where
+        the relative criterion alone would stop early.
+    newton_max_iter : int
+        Iteration cap per implicit step before the step size is halved.
+    fd_epsilon_rel : float
+        Relative perturbation for the finite-difference Jacobian.
+    store_all : bool
+        Keep every accepted state in memory (needed for trajectory
+        diagnostics; off by default to bound memory).
     """
 
-    tol_rel: float = 1e-10
-    tol_abs: float = 5e-14
-    max_iter: int = 15
+    dt: float = 1.0                # s
+    scheme: str = "implicit"
+    t_end: float = 400.0           # s
+    output_times: tuple = ()
+    newton_tol_rel: float = 1e-10
+    newton_tol_abs: float = 5e-14
+    newton_max_iter: int = 15
     fd_epsilon_rel: float = 1e-7
-    max_halvings: int = 5
-    refine_tol: float = 1e-12
-    # accepted states may undershoot zero air density by this much
-    # [kg/m3]; bounds the dip of the under-resolved rim layer without
-    # letting a diverging run through (see validate_state)
-    air_undershoot_tol: float = 0.05
+    store_all: bool = False
+
+    def __post_init__(self):
+        if not (np.isfinite(self.dt) and self.dt > 0.0):
+            raise ScenarioError("dt must be a positive number")
+        if self.scheme not in ("implicit", "explicit"):
+            raise ScenarioError(
+                f"scheme must be 'implicit' or 'explicit', got {self.scheme!r}")
+        if not (np.isfinite(self.t_end) and self.t_end >= 0.0):
+            raise ScenarioError("t_end must be non-negative")
+        for name in ("newton_tol_rel", "newton_tol_abs", "fd_epsilon_rel"):
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise ScenarioError(f"{name} must lie in (0, 1)")
+        n_iter = self.newton_max_iter
+        if not (np.isfinite(n_iter) and n_iter >= 1 and int(n_iter) == n_iter):
+            raise ScenarioError("newton_max_iter must be a positive integer")
+        times = sorted({float(t) for t in self.output_times})
+        if any(not np.isfinite(t) or t <= 0.0 for t in times):
+            raise ScenarioError("output_times must be positive and finite")
+        object.__setattr__(self, "output_times", tuple(times))
+        object.__setattr__(self, "dt", float(self.dt))
+        object.__setattr__(self, "t_end", float(self.t_end))
+        object.__setattr__(self, "newton_max_iter", int(self.newton_max_iter))
 
 
 def rms(v):
@@ -53,13 +117,13 @@ def rms(v):
     return float(np.sqrt(np.mean(np.square(v))))
 
 
-def fd_jacobian(system, u, t, dt=None, u_prev=None, eps_rel=1e-7):
+def fd_jacobian(system, u, t, dt, u_prev, eps_rel=1e-7):
     """Sparse Jacobian of the residual by element-wise finite differences.
 
-    With ``dt``/``u_prev`` given, differentiates the implicit map
-    ``G(u) = residual(u, (u - u_prev)/dt, t)`` (each state perturbation
-    also perturbs the rate by delta/dt); otherwise differentiates the
-    spatial residual alone.
+    Differentiates the implicit map ``G(u) = residual(u, (u - u_prev)/dt,
+    t)``: each state perturbation also perturbs the rate by delta/dt.  At
+    ``dt = inf`` both vanish and this is the Jacobian of the spatial
+    residual.
 
     Perturbation sizes are relative to each unknown with per-type floors,
     so the columns are well-scaled for temperatures around 1e2 and air
@@ -72,12 +136,8 @@ def fd_jacobian(system, u, t, dt=None, u_prev=None, eps_rel=1e-7):
         state-dependent boundary targets to the local temperature.
     """
     ue = system._gather(u)
-    if dt is None:
-        due = None
-        rate_pert = 0.0
-    else:
-        due = (ue - system._gather(u_prev)) / dt
-        rate_pert = 1.0 / dt
+    due = (ue - system._gather(u_prev)) / dt
+    rate_pert = 1.0 / dt
 
     base = system.element_residual(ue, due, t)
     n_el = ue.shape[0]
@@ -87,11 +147,8 @@ def fd_jacobian(system, u, t, dt=None, u_prev=None, eps_rel=1e-7):
         delta = eps_rel * np.maximum(np.abs(ue[:, a, c]), STATE_SCALE[c])
         ue_p = ue.copy()
         ue_p[:, a, c] += delta
-        if due is None:
-            due_p = None
-        else:
-            due_p = due.copy()
-            due_p[:, a, c] += delta * rate_pert
+        due_p = due.copy()
+        due_p[:, a, c] += delta * rate_pert
         pert = system.element_residual(ue_p, due_p, t)
         blocks[:, :, local] = (
             (pert - base).reshape(n_el, 4 * N_VARS) / delta[:, None]
@@ -115,11 +172,11 @@ def fd_jacobian(system, u, t, dt=None, u_prev=None, eps_rel=1e-7):
     ).tocsr()
 
 
-def linear_solve(a, b, refine_tol=1e-12, max_refine=5):
+def linear_solve(a, b):
     """Direct sparse solve with iterative refinement.
 
     Refines ``x`` until the relative linear residual drops below
-    ``refine_tol`` (a handful of cheap back-substitutions), so the Newton
+    ``REFINE_TOL`` (a handful of cheap back-substitutions), so the Newton
     updates are not limited by factorization roundoff.
 
     Raises
@@ -137,9 +194,9 @@ def linear_solve(a, b, refine_tol=1e-12, max_refine=5):
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return np.zeros_like(b)
-    for _ in range(max_refine):
+    for _ in range(MAX_REFINE):
         r = b - a @ x
-        if float(np.linalg.norm(r)) <= refine_tol * b_norm:
+        if float(np.linalg.norm(r)) <= REFINE_TOL * b_norm:
             break
         dx = lu.solve(r)
         if not np.all(np.isfinite(dx)):
@@ -157,8 +214,9 @@ class StepResult:
     halvings: int = 0
 
 
-def newton_solve(system, u_prev, dt, t_new, opts):
-    """One backward-Euler solve at fixed dt.
+def newton_solve(system, u_prev, dt, t_new, cfg):
+    """One backward-Euler solve at fixed dt; ``dt = inf`` solves the
+    steady problem.
 
     Full Newton with one half-step backtrack per iteration when the
     residual norm increases.
@@ -166,7 +224,7 @@ def newton_solve(system, u_prev, dt, t_new, opts):
     Raises
     ------
     NewtonError
-        If the tolerance is not reached within ``opts.max_iter``.
+        If the tolerance is not reached within ``cfg.newton_max_iter``.
     """
     def eval_residual(w):
         """Residual and norm, or None when the state leaves the domain."""
@@ -181,14 +239,13 @@ def newton_solve(system, u_prev, dt, t_new, opts):
     g, r0 = eval_residual(v)
     if g is None:
         raise NewtonError(f"residual not evaluable at t={t_new:.6g}")
-    target = max(opts.tol_rel * r0, opts.tol_abs)
+    target = max(cfg.newton_tol_rel * r0, cfg.newton_tol_abs)
     history = [r0]
     if r0 <= target:
         return v, 0, r0
-    for it in range(1, opts.max_iter + 1):
-        jac = fd_jacobian(system, v, t_new, dt=dt, u_prev=u_prev,
-                          eps_rel=opts.fd_epsilon_rel)
-        dx = linear_solve(jac, -g, refine_tol=opts.refine_tol)
+    for it in range(1, cfg.newton_max_iter + 1):
+        jac = fd_jacobian(system, v, t_new, dt, u_prev, cfg.fd_epsilon_rel)
+        dx = linear_solve(jac, -g)
         v_new = v + dx
         g_new, r_new = eval_residual(v_new)
         if r_new > history[-1]:
@@ -207,37 +264,38 @@ def newton_solve(system, u_prev, dt, t_new, opts):
         if r_new <= target:
             return v, it, r_new
     raise NewtonError(
-        f"no convergence in {opts.max_iter} iterations at t={t_new:.6g} "
-        f"(dt={dt:.3g})",
+        f"no convergence in {cfg.newton_max_iter} iterations at "
+        f"t={t_new:.6g} (dt={dt:.3g})",
         residual_history=history,
         last_state=v,
     )
 
 
-def implicit_step(system, u, t, dt, opts=None):
+def implicit_step(system, u, t, dt, cfg=None):
     """Backward-Euler step with automatic dt halving on failure.
 
     Returns a StepResult whose ``dt_used`` may be smaller than requested;
-    the caller resumes from ``t + dt_used``.
+    the caller resumes from ``t + dt_used``.  ``cfg`` defaults to
+    ``SolverConfig()``.
 
     Raises
     ------
     NewtonError
-        If the step still fails after ``opts.max_halvings`` halvings.
+        If the step still fails after ``MAX_HALVINGS`` halvings.
     """
-    opts = opts or NewtonOptions()
+    cfg = cfg or SolverConfig()
     dt_try = dt
     last_exc = None
-    for halving in range(opts.max_halvings + 1):
+    for halving in range(MAX_HALVINGS + 1):
         try:
-            v, iters, r_final = newton_solve(system, u, dt_try, t + dt_try, opts)
-            validate_state(v, a_tol=opts.air_undershoot_tol)
+            v, iters, r_final = newton_solve(system, u, dt_try, t + dt_try, cfg)
+            validate_state(v, a_tol=AIR_UNDERSHOOT_TOL)
             return StepResult(v, dt_try, iters, r_final, halving)
         except HotPressError as exc:
             last_exc = exc
             dt_try *= 0.5
     raise NewtonError(
-        f"step at t={t:.6g} failed after {opts.max_halvings} dt halvings "
+        f"step at t={t:.6g} failed after {MAX_HALVINGS} dt halvings "
         f"(last dt={dt_try * 2:.3g}): {last_exc}"
     )
 
@@ -281,34 +339,21 @@ class TransientResult:
 _TIME_SNAP = 1e-9
 
 
-def run_transient(system, u0, t_end, dt, scheme="implicit", output_times=(),
-                  opts=None, store_all=False, track_water=True, log=None):
-    """Integrate from t=0 to t_end with fixed nominal step dt.
+def run_transient(system, u0, cfg, log=None):
+    """Integrate from t=0 to ``cfg.t_end`` with fixed nominal step
+    ``cfg.dt`` and scheme ``cfg.scheme``.
 
-    Output times are hit exactly (the step shortens when one is closer
-    than dt).  ``t_end = 0`` returns just the initial state.  Each accepted
-    step emits one diagnostic log line; pass ``log`` as a callable to
-    stream them.
-
-    Parameters
-    ----------
-    scheme : {"implicit", "explicit"}
-    output_times : iterable of float
-        Snapshot times; clipped to [0, t_end].
-    store_all : bool
-        Keep every accepted step (diagnostics, conservation checks).
-    track_water : bool
-        Record the per-step lumped-water balance (open systems).
+    Output times of ``cfg.output_times`` up to ``t_end`` are hit exactly
+    (the step shortens when one is closer than dt).  ``t_end = 0``
+    returns just the initial state.  ``cfg.store_all`` keeps every
+    accepted step.  Each accepted step emits one diagnostic log line;
+    pass ``log`` as a callable to stream them.  Implicit runs record the
+    per-step lumped-water balance.
 
     Returns
     -------
     TransientResult
     """
-    if scheme not in ("implicit", "explicit"):
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    opts = opts or NewtonOptions()
     started = time.perf_counter()
     res = TransientResult()
 
@@ -320,14 +365,12 @@ def run_transient(system, u0, t_end, dt, scheme="implicit", output_times=(),
     u = np.asarray(u0, dtype=float).copy()
     validate_state(u)
     t = 0.0
-    wanted = sorted(set(float(x) for x in output_times if 0.0 <= x <= t_end))
+    t_end, dt = cfg.t_end, cfg.dt
+    wanted = [x for x in cfg.output_times if x <= t_end]
     res.times.append(0.0)
     res.states.append(u.copy())
-    if wanted and abs(wanted[0]) <= _TIME_SNAP:
-        res.outputs[wanted[0]] = u.copy()
-        wanted = wanted[1:]
 
-    if scheme == "explicit":
+    if cfg.scheme == "explicit":
         advisory = system.stable_dt_advisory(u)
         if dt > advisory:
             emit(f"warning: explicit dt={dt:.3g} exceeds diffusive advisory "
@@ -338,21 +381,20 @@ def run_transient(system, u0, t_end, dt, scheme="implicit", output_times=(),
         if wanted:
             dt_step = min(dt_step, wanted[0] - t)
         u_before = u
-        if scheme == "implicit":
-            step = implicit_step(system, u, t, dt_step, opts)
+        if cfg.scheme == "implicit":
+            step = implicit_step(system, u, t, dt_step, cfg)
             u = step.u
             t_new = t + step.dt_used
             res.newton_iters.append(step.newton_iters)
             res.dt_used.append(step.dt_used)
             emit(f"step t={t_new:.6g} dt={step.dt_used:.6g} "
                  f"newton={step.newton_iters} resid={step.residual_norm:.3e}")
-            if track_water:
-                storage, influx = system.water_balance(
-                    u_before, u, step.dt_used, t_new)
-                res.water_balance.append((t_new, storage, influx))
+            storage, influx = system.water_balance(
+                u_before, u, step.dt_used, t_new)
+            res.water_balance.append((t_new, storage, influx))
         else:
             u = forward_euler_step(system, u, t, dt_step,
-                                   a_tol=opts.air_undershoot_tol)
+                                   a_tol=AIR_UNDERSHOOT_TOL)
             t_new = t + dt_step
             res.dt_used.append(dt_step)
             emit(f"step t={t_new:.6g} dt={dt_step:.6g} scheme=explicit")
@@ -360,12 +402,12 @@ def run_transient(system, u0, t_end, dt, scheme="implicit", output_times=(),
         if wanted and abs(t_new - wanted[0]) <= _TIME_SNAP:
             t_new = wanted[0]
         t = t_new
-        if store_all:
+        if cfg.store_all:
             res.times.append(t)
             res.states.append(u.copy())
         if wanted and abs(t - wanted[0]) <= _TIME_SNAP:
             res.outputs[wanted[0]] = u.copy()
-            if not store_all:
+            if not cfg.store_all:
                 res.times.append(t)
                 res.states.append(u.copy())
             wanted = wanted[1:]

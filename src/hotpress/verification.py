@@ -37,7 +37,6 @@ from .assembly import (
     tau_supg,
     vapor_density_partials,
 )
-from .errors import ConvergenceError
 from .mesh import QuadratureRule, build_graded_mesh, element_geometry
 from .properties import (
     KELVIN,
@@ -47,8 +46,8 @@ from .properties import (
     vapor_density,
     vertical_permeability,
 )
-from .scenario import SolverConfig, humphrey_preset, run_scenario
-from .solver import NewtonOptions, fd_jacobian, linear_solve, newton_solve, rms
+from .scenario import humphrey_preset, run_scenario
+from .solver import SolverConfig, fd_jacobian, newton_solve
 
 __all__ = [
     "CheckResult",
@@ -365,31 +364,6 @@ def _scaled_error_norm(system, diff):
     return float(np.sqrt(np.sum(w[:, None] * e**2) / (N_VARS * np.sum(w))))
 
 
-def _steady_solve(system, u0, t=0.0, max_iter=20):
-    """Newton on the spatial residual alone (no mass term)."""
-    u = u0.copy()
-    r = system.residual(u, None, t)
-    r0 = rms(r)
-    target = max(1e-10 * r0, 1e-13)
-    best = r0
-    for _ in range(max_iter):
-        if best <= target:
-            return u
-        jac = fd_jacobian(system, u, t)
-        u = u + linear_solve(jac, -r)
-        r = system.residual(u, None, t)
-        nrm = rms(r)
-        if not np.isfinite(nrm):
-            raise ConvergenceError("steady manufactured solve diverged")
-        if nrm >= best and best < 1e-9:
-            return u    # stagnated at roundoff; good enough
-        best = min(best, nrm)
-    if best < 1e-9:
-        return u
-    raise ConvergenceError(
-        f"steady manufactured solve stalled at residual {best:.2e}")
-
-
 def mms_spatial_study(n_values=(5, 10, 20, 40), stabilization=True):
     """Error of the steady manufactured problem under mesh refinement.
 
@@ -405,7 +379,8 @@ def mms_spatial_study(n_values=(5, 10, 20, 40), stabilization=True):
     for n in n_values:
         system = _mms_system(n, sol, stabilization)
         u_exact = sol.state(system.mesh, 0.0)
-        u = _steady_solve(system, u_exact)
+        # backward Euler at dt = inf is the steady problem
+        u, _, _ = newton_solve(system, u_exact, np.inf, 0.0, SolverConfig())
         errors.append(_scaled_error_norm(system, u - u_exact))
     orders = [float(np.log2(errors[i] / errors[i + 1]))
               for i in range(len(errors) - 1)]
@@ -426,13 +401,13 @@ def mms_temporal_study(dts=(1.0, 0.5, 0.25, 0.125, 0.0625), n=8, t_final=8.0):
     """
     sol = _mms_solution(transient=True, period=t_final)
     system = _mms_system(n, sol)
-    opts = NewtonOptions()
+    cfg = SolverConfig()
     finals = []
     for dt in dts:
         steps = int(round(t_final / dt))
         u = sol.state(system.mesh, 0.0)
         for k in range(steps):
-            u, _, _ = newton_solve(system, u, dt, (k + 1) * dt, opts)
+            u, _, _ = newton_solve(system, u, dt, (k + 1) * dt, cfg)
         finals.append(u)
     diffs = [_scaled_error_norm(system, finals[i] - finals[i + 1])
              for i in range(len(finals) - 1)]

@@ -425,8 +425,8 @@ class TestStableDtAdvisory:
         system = build_system(sc)
         u0 = initial_state(sc, system.mesh)
         dt = system.stable_dt_advisory(u0)
-        res = slv.run_transient(system, u0, 0.05, dt, scheme="explicit",
-                                store_all=True)
+        res = slv.run_transient(system, u0, slv.SolverConfig(
+            t_end=0.05, dt=dt, scheme="explicit", store_all=True))
         assert not any("advisory" in ln for ln in res.log)
         assert res.times[-1] == pytest.approx(0.05)
         assert min(asm.state_fields(u)[2].min() for u in res.states) >= 0.0

@@ -196,6 +196,15 @@ class TestRunErrors:
         assert rc == 2, "a malformed scenario document is a usage error"
         assert "error:" in capsys.readouterr().err
 
+    def test_malformed_field_exits_2(self, tmp_path, scenario_file, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(scenario_file.read_text().replace(
+            "  dt: 1.0\n", "  dt: abc\n"))
+        assert "dt: abc" in bad.read_text()
+        rc = cli.main(["run", "--scenario", str(bad), "--out", str(tmp_path)])
+        assert rc == 2, f"a malformed field is a usage error, got exit {rc}"
+        assert "solver.dt" in capsys.readouterr().err
+
     def test_solver_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         def boom(scenario, **kwargs):
             raise NewtonError("no convergence (synthetic)")

@@ -235,10 +235,6 @@ class TestSorptionIsotherm:
         for i in range(3):
             assert vec[i] == pytest.approx(iso.hr_from_emc(t[i], h[i]), abs=1e-12)
 
-    def test_module_level_helper(self):
-        hr = pr.relative_humidity_from_sorption(30.0, 11.0)
-        assert hr == pytest.approx(65.0, abs=1e-6)
-
 
 class TestMaterialParams:
     def test_validation(self):

@@ -6,6 +6,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hotpress.errors import ScenarioError
 from hotpress.properties import MaterialParams
@@ -101,13 +104,6 @@ class TestSolverConfig:
     def test_rejects_zero_output_time(self):
         with pytest.raises(ScenarioError, match="output_times"):
             SolverConfig(output_times=(0.0, 10.0))
-
-    def test_newton_options_mapping(self):
-        cfg = SolverConfig(newton_tol_rel=1e-9, newton_tol_abs=1e-13,
-                           newton_max_iter=7, fd_epsilon_rel=1e-6)
-        opts = cfg.newton_options()
-        assert (opts.tol_rel, opts.tol_abs, opts.max_iter,
-                opts.fd_epsilon_rel) == (1e-9, 1e-13, 7, 1e-6)
 
 
 class TestScenarioValidation:
@@ -274,6 +270,72 @@ class TestSerialization:
         sc = humphrey_preset()
         again = load_scenario(save_scenario(sc))
         assert again.material.isotherm.scale == sc.material.isotherm.scale
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        dt=st.floats(1e-6, 1e4), t_end=st.floats(0.0, 1e5),
+        output_times=st.lists(st.floats(1e-6, 1e5), max_size=5),
+        tol_rel=st.floats(1e-16, 0.5), tol_abs=st.floats(1e-300, 0.5),
+        max_iter=st.integers(1, 100), fd_epsilon_rel=st.floats(1e-12, 0.5),
+        store_all=st.booleans(), scheme=st.sampled_from(("implicit",
+                                                         "explicit")),
+        rho_s=st.floats(200.0, 1200.0),
+        bulk_density=st.none() | st.floats(200.0, 1200.0),
+        kappa_anisotropy=st.floats(0.1, 100.0),
+        porosity_model=st.sampled_from(("suzuki", "simple")))
+    def test_round_trip_property(self, dt, t_end, output_times, tol_rel,
+                                 tol_abs, max_iter, fd_epsilon_rel, store_all,
+                                 scheme, rho_s, bulk_density,
+                                 kappa_anisotropy, porosity_model):
+        sc = replace(
+            humphrey_preset(),
+            material=MaterialParams(rho_s=rho_s, bulk_density=bulk_density,
+                                    kappa_anisotropy=kappa_anisotropy,
+                                    porosity_model=porosity_model),
+            solver=SolverConfig(dt=dt, t_end=t_end,
+                                output_times=tuple(output_times),
+                                newton_tol_rel=tol_rel,
+                                newton_tol_abs=tol_abs,
+                                newton_max_iter=max_iter,
+                                fd_epsilon_rel=fd_epsilon_rel,
+                                store_all=store_all, scheme=scheme))
+        assert load_scenario(save_scenario(sc)) == sc
+
+
+def _with_field(dotted, value):
+    """The preset's YAML text with one field replaced by ``value``."""
+    section, key = dotted.split(".")
+    doc = yaml.safe_load(save_scenario(humphrey_preset()))
+    doc[section][key] = value
+    return yaml.safe_dump(doc)
+
+
+class TestMalformedFields:
+    @pytest.mark.parametrize("dotted, value", [
+        ("solver.dt", "abc"),
+        ("solver.t_end", "10"),
+        ("solver.newton_tol_rel", "x"),
+        ("solver.newton_tol_abs", [1e-14]),
+        ("solver.fd_epsilon_rel", None),
+        ("solver.newton_max_iter", "abc"),
+        ("solver.newton_max_iter", True),
+        ("solver.store_all", 3),
+        ("solver.store_all", "yes"),
+        ("mesh.n_r", "abc"),
+        ("mesh.n_r", True),
+        ("mesh.n_z", None),
+        ("material.kappa_anisotropy", "x"),
+        ("material.cp_vapor", True),
+        ("material.bulk_density", "dense"),
+    ])
+    def test_rejected_with_field_named(self, dotted, value):
+        with pytest.raises(ScenarioError, match=dotted.replace(".", r"\.")):
+            load_scenario(_with_field(dotted, value))
+
+    @pytest.mark.parametrize("dotted", ["solver.newton_max_iter", "mesh.n_r"])
+    def test_non_finite_count_rejected(self, dotted):
+        with pytest.raises(ScenarioError, match=dotted.split(".")[1]):
+            load_scenario(_with_field(dotted, float("inf")))
 
 
 class TestInitialState:

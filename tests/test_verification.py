@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hotpress.scenario import SolverConfig, humphrey_preset
-from hotpress.solver import rms
+from hotpress.solver import newton_solve, rms
 from hotpress import verification as vf
 
 
@@ -118,6 +118,32 @@ class TestManufacturedSource:
         system = vf._mms_system(4, sol)
         src = vf.manufactured_source(system, sol, 0.0)
         assert src.shape == system.gp_xy.shape[:2] + (3,)
+
+
+class TestSteadyLimit:
+    """Backward Euler at dt = inf is the steady manufactured problem."""
+
+    @pytest.fixture(scope="class")
+    def steady(self):
+        sol = vf._mms_solution(transient=False)
+        system = vf._mms_system(5, sol, stabilization=False)
+        return system, sol.state(system.mesh, 0.0)
+
+    def test_infinite_step_drops_the_storage(self, steady):
+        system, u = steady
+        rng = np.random.default_rng(3)
+        u_prev = u + 0.1 * rng.standard_normal(u.size)
+        assert np.array_equal(system.residual(u, (u - u_prev) / np.inf, 0.0),
+                              system.residual(u, None, 0.0))
+
+    def test_dt_inf_solve_meets_the_newton_target(self, steady):
+        system, u_exact = steady
+        cfg = SolverConfig()
+        r0 = rms(system.residual(u_exact, None, 0.0))
+        u, iters, r_final = newton_solve(system, u_exact, np.inf, 0.0, cfg)
+        assert iters >= 1
+        assert r_final <= max(cfg.newton_tol_rel * r0, cfg.newton_tol_abs)
+        assert r_final == rms(system.residual(u, None, 0.0))
 
 
 class TestMmsConvergence:
