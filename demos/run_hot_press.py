@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from hotpress.assembly import derive_thermo, state_fields
+from hotpress.assembly import state_fields
 from hotpress.scenario import SolverConfig, humphrey_preset, run_scenario
 
 ################################################################################
@@ -45,11 +45,10 @@ print("\n  time    T_core   T_sub-platen   H_core   P_core")
 print("   [s]    [degC]      [degC]         [%]    [N/m2]")
 for t in [0.0] + sorted(result.outputs):
     u = result.states[0] if t == 0.0 else result.outputs[t]
-    t_c, h, rho_a = state_fields(u)
-    th = derive_thermo(t_c[core], h[core], rho_a[core],
-                       system.params, system.epsilon)
+    t_c, h, _ = state_fields(u)
+    p_core = system.nodal_state(u)["p_total"][core]
     print(f"  {t:5.0f}   {t_c[core]:6.2f}     {t_c[under_platen]:7.2f}"
-          f"      {h[core]:6.2f}   {th.p_total:8.0f}")
+          f"      {h[core]:6.2f}   {p_core:8.0f}")
 
 t_c, h, rho_a = state_fields(result.states[-1])
 print(f"\nafter {result.times[-1]:.0f} s: "

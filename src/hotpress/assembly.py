@@ -30,13 +30,15 @@ magnitudes, then replaces constrained rows (platen temperature, rim
 equilibrium) by their Dirichlet residuals.  The residual is exactly zero for
 a uniform state in equilibrium with all boundary values.
 
-The constitutive state at the element corners is evaluated in one place,
-``PressSystem._corner_state``, and the residual and the explicit rates
-share its result.  ``derive_thermo`` inverts the sorption isotherm in
-closed form once per corner; ``vapor_density_partials`` reuses that
-humidity for the closed-form slopes of rho_v.  ``PressSystem`` has no
-verification modes: the manufactured-solution and frozen-coefficient
-systems are subclasses in ``verification``.
+The material laws are pointwise, so the constitutive state is evaluated
+at the nodes, in one place: ``PressSystem.nodal_state`` calls
+``derive_thermo`` (closed-form isotherm inversion) and
+``vapor_density_partials`` (closed-form slopes of rho_v) once per node.
+The residual, the explicit rates, velocity recovery and the snapshots
+gather its records to element corners through ``mesh.elements``; the
+finite-difference Jacobian splices corners from perturbed nodal states.
+``PressSystem`` has no verification modes: the manufactured-solution and
+frozen-coefficient systems are subclasses in ``verification``.
 
 Element integrals are evaluated with 2x2 Gauss quadrature and the
 axisymmetric volume weight r; the factor 2*pi is common to every term and
@@ -65,6 +67,16 @@ STATE_SCALE = np.array([1.0, 1.0, 0.1])  # degC, %, kg/m3
 # state evaluable without affecting any scenario-reachable state
 PRESSURE_FLOOR = 100.0  # N/m2
 
+# One record of the constitutive state per node (PressSystem.nodal_state),
+# SI units.  ``rho_v`` is the vapor density the moisture flux carries and
+# ``rho_v_adv`` the one carrying sensible heat, equal except in the
+# frozen-coefficient system; ``rv_t``, ``rv_h`` are d(rho_v)/dT and
+# d(rho_v)/dH, ``mob_*`` the gas mobilities K/mu and ``heat`` the latent
+# plus sorption heat.
+NODAL_STATE = np.dtype([(name, float) for name in (
+    "rho_v", "rho_v_adv", "rv_t", "rv_h", "p_vapor", "p_total", "kappa_xy",
+    "kappa_z", "mob_xy", "mob_z", "diffusivity", "cp", "heat")])
+
 
 # ---------------------------------------------------------------------------
 # state vector helpers
@@ -80,6 +92,12 @@ def state_fields(u):
     """Views (T, H, rho_a) of a flat state vector."""
     m = u.reshape(-1, N_VARS)
     return m[:, IDX_T], m[:, IDX_H], m[:, IDX_A]
+
+
+def fd_step(u, eps_rel):
+    """Finite-difference step of every dof of ``u``: relative to the value,
+    bottoming out at ``STATE_SCALE`` near zero."""
+    return eps_rel * np.maximum(np.abs(u), np.tile(STATE_SCALE, u.size // N_VARS))
 
 
 def validate_state(u, h_tol=1e-9, a_tol=None):
@@ -125,10 +143,8 @@ class ThermoPoint:
 
     p_air: np.ndarray        # N/m2
     hr: np.ndarray           # %
-    p_sat: np.ndarray        # N/m2
     p_vapor: np.ndarray      # N/m2
     rho_v: np.ndarray        # kg/m3
-    rho_gas: np.ndarray      # kg/m3
     p_total: np.ndarray      # N/m2
     epsilon: float
     latent: np.ndarray       # J/kg
@@ -184,10 +200,8 @@ def derive_thermo(t_c, h_pct, rho_a, params, epsilon=None):
     return ThermoPoint(
         p_air=p_air,
         hr=hr,
-        p_sat=p_sat,
         p_vapor=p_vapor,
         rho_v=rho_v,
-        rho_gas=rho_v + rho_a,
         p_total=p_total,
         epsilon=epsilon,
         latent=props.latent_heat(t_c),
@@ -236,18 +250,6 @@ def darcy_velocity(grad_p, mob_xy, mob_z):
         [m/s], anti-parallel to the pressure gradient.
     """
     return -mob_xy * grad_p[..., 0], -mob_z * grad_p[..., 1]
-
-
-@dataclass
-class CornerState:
-    """Constitutive state at the element corners, each field (n_el, 4)."""
-
-    thermo: ThermoPoint
-    rv_t: np.ndarray     # d(rho_v)/dT  [kg/(m3 K)]
-    rv_h: np.ndarray     # d(rho_v)/dH  [kg/(m3 %)]
-    # vapor density the moisture flux transports; ``thermo.rho_v`` except
-    # in the frozen-coefficient verification system, which linearizes it
-    rho_v: np.ndarray
 
 
 def tau_supg(a_mag, h, kappa):
@@ -357,57 +359,48 @@ class PressSystem:
         t_rim = u[self.rim_tdofs]
         return self.rim_moisture_bc(t_rim), self.rim_air_bc(t_rim)
 
-    def _rim_slopes(self, u):
-        """Centered-difference slopes of the rim targets with respect to
-        the rim nodes' own temperature."""
-        t_rim = u[self.rim_tdofs]
-        dt = 1e-6 * np.maximum(np.abs(t_rim), 1.0)
-        dh_dt = (self.rim_moisture_bc(t_rim + dt)
-                 - self.rim_moisture_bc(t_rim - dt)) / (2.0 * dt)
-        da_dt = (self.rim_air_bc(t_rim + dt)
-                 - self.rim_air_bc(t_rim - dt)) / (2.0 * dt)
-        return dh_dt, da_dt
-
     def constrained_dofs(self):
         """Indices of all Dirichlet rows."""
         if self.sealed_radius:
             return self.platen_tdofs
         return np.concatenate([self.platen_tdofs, self.rim_hdofs, self.rim_adofs])
 
-    def constraint_residual(self, u, t):
-        """(dofs, residual values) for the Dirichlet rows at time t."""
-        parts = [u[self.platen_tdofs] - self.platen_temperature(t)]
+    def constraint_targets(self, u, t):
+        """Values the Dirichlet rows hold at time t, in the order of
+        ``constrained_dofs``.  A target may depend on the state of its own
+        node only (``constraint_slopes`` relies on it)."""
+        parts = [np.full(len(self.platen_tdofs), self.platen_temperature(t))]
         if not self.sealed_radius:
-            h_bc, a_bc = self._rim_targets(u)
-            parts += [u[self.rim_hdofs] - h_bc, u[self.rim_adofs] - a_bc]
-        return self.constrained_dofs(), np.concatenate(parts)
+            parts += self._rim_targets(u)
+        return np.concatenate(parts)
+
+    def constraint_slopes(self, u, t, eps_rel=1e-7):
+        """Derivatives of ``constraint_targets`` with respect to each
+        variable of the constrained dof's own node, shape (n_dofs, 3) and
+        zero on free rows: one centered difference per variable, every
+        node stepped at once by ``fd_step``."""
+        dofs = self.constrained_dofs()
+        delta = fd_step(u, eps_rel)
+        slopes = np.zeros((self.n_dofs, N_VARS))
+        for c in range(N_VARS):
+            step = np.zeros_like(u)
+            step[c::N_VARS] = delta[c::N_VARS]
+            slopes[dofs, c] = (self.constraint_targets(u + step, t)
+                               - self.constraint_targets(u - step, t)) \
+                / (2.0 * step[dofs - dofs % N_VARS + c])
+        return slopes
 
     def apply_dirichlet(self, u, t):
         """Overwrite constrained dofs with their target values (in place).
 
         Used by the explicit scheme, which integrates only the free rows.
-        """
-        u[self.platen_tdofs] = self.platen_temperature(t)
-        if not self.sealed_radius:
-            u[self.rim_hdofs], u[self.rim_adofs] = self._rim_targets(u)
-        return u
-
-    def constraint_jacobian_entries(self, u, t):
-        """(rows, cols, vals) triplets for the Dirichlet rows.
-
-        Unit diagonal per constrained dof plus, for the rim rows, the
-        sensitivity of the target to the node's own temperature.
+        Assigned twice: a rim target follows its node's temperature, which
+        the first pass sets where the rim meets the platen.
         """
         dofs = self.constrained_dofs()
-        rows = [dofs]
-        cols = [dofs]
-        vals = [np.ones(len(dofs))]
-        if not self.sealed_radius:
-            dh_dt, da_dt = self._rim_slopes(u)
-            rows += [self.rim_hdofs, self.rim_adofs]
-            cols += [self.rim_tdofs, self.rim_tdofs]
-            vals += [-dh_dt, -da_dt]
-        return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+        for _ in range(2):
+            u[dofs] = self.constraint_targets(u, t)
+        return u
 
     # -- element-level evaluation ---------------------------------------------
 
@@ -423,48 +416,55 @@ class PressSystem:
         """(d/dr, d/dz) of corner values at the quadrature points."""
         return np.einsum("egad,ea->egd", self.grad, f)
 
-    def _corner_state(self, ue):
-        """Constitutive state of the element-local states ``ue``."""
-        t_n, h_n = ue[:, :, 0], ue[:, :, 1]
-        th = derive_thermo(t_n, h_n, ue[:, :, 2], self.params, self.epsilon)
-        rv_t, rv_h = vapor_density_partials(t_n, h_n, th.hr, self.params)
-        return CornerState(th, rv_t, rv_h, th.rho_v)
+    def nodal_state(self, u):
+        """One ``NODAL_STATE`` record per node of ``u``: the one place the
+        material laws are evaluated.  ``[mesh.elements]`` gathers the
+        records to the element corners, shape (n_el, 4)."""
+        t_c, h, rho_a = state_fields(u)
+        th = derive_thermo(t_c, h, rho_a, self.params, self.epsilon)
+        s = np.empty(len(t_c), dtype=NODAL_STATE)
+        s["rho_v"] = s["rho_v_adv"] = th.rho_v
+        s["rv_t"], s["rv_h"] = vapor_density_partials(t_c, h, th.hr, self.params)
+        s["p_vapor"], s["p_total"] = th.p_vapor, th.p_total
+        s["kappa_xy"], s["kappa_z"] = th.kappa_xy, th.kappa_z
+        s["mob_xy"] = th.perm_xy / th.viscosity
+        s["mob_z"] = th.perm_z / th.viscosity
+        s["diffusivity"], s["cp"] = th.diffusivity, th.cp
+        s["heat"] = th.latent + th.sorption
+        return s
 
-    def _gauss_velocity(self, th):
+    def _gauss_velocity(self, corners):
         """Darcy gas velocity (V_r, V_z) at the quadrature points."""
-        return darcy_velocity(self._grad_at_gauss(th.p_total),
-                              self._at_gauss(th.perm_xy / th.viscosity),
-                              self._at_gauss(th.perm_z / th.viscosity))
+        return darcy_velocity(self._grad_at_gauss(corners["p_total"]),
+                              self._at_gauss(corners["mob_xy"]),
+                              self._at_gauss(corners["mob_z"]))
 
-    def element_residual(self, ue, due, t, state=None):
+    def element_residual(self, ue, due, t, corners):
         """Scaled element residual rows, shape (n_el, 4, 3).
 
-        ``ue``/``due`` are element-local states and rates; summing the
+        ``ue``/``due`` are element-local states and rates, and ``corners``
+        is the nodal state gathered to the element corners; summing the
         returned blocks over elements yields the unconstrained global
-        residual.  ``state`` is ``_corner_state(ue)`` when the caller
-        already has it.
+        residual.
         """
-        if state is None:
-            state = self._corner_state(ue)
         p = self.params
         eps = self.epsilon
-        th = state.thermo
         val = self._at_gauss
         grad_of = self._grad_at_gauss
         t_live = ue[:, :, 0]
         a_live = ue[:, :, 2]
 
-        rv_g = val(state.rho_v)
-        rvc_g = val(th.rho_v)  # advection coefficient
+        rv_g = val(corners["rho_v"])
+        rvc_g = val(corners["rho_v_adv"])  # advection coefficient
         a_g = val(a_live)
-        kxy_g = val(th.kappa_xy)
-        kz_g = val(th.kappa_z)
-        epsd_g = val(eps * th.diffusivity)
+        kxy_g = val(corners["kappa_xy"])
+        kz_g = val(corners["kappa_z"])
+        epsd_g = val(eps * corners["diffusivity"])
 
         g_t = grad_of(t_live)
-        g_rv = grad_of(state.rho_v)
+        g_rv = grad_of(corners["rho_v"])
         g_a = grad_of(a_live)
-        v_r, v_z = self._gauss_velocity(th)
+        v_r, v_z = self._gauss_velocity(corners)
 
         # fluxes at quadrature points
         f_t_r = kxy_g * g_t[..., 0]
@@ -491,7 +491,7 @@ class PressSystem:
                        adv_t, g_rv, g_a)
 
         if due is not None:
-            c_tt, c_th = self._energy_storage(state)
+            c_tt, c_th = self._energy_storage(corners)
             d_t = due[:, :, IDX_T]
             d_h = due[:, :, IDX_H]
             re[:, :, IDX_T] += c_tt * d_t + c_th * d_h
@@ -500,21 +500,20 @@ class PressSystem:
 
         return re * self.row_scale[None, None, :]
 
-    def _energy_storage(self, state):
+    def _energy_storage(self, corners):
         """Row-sum lumped energy storage of each element corner: the
         coefficients (c_tt, c_th) of dT/dt and dH/dt in the energy row.
 
         The phase-change heat is charged once, as (lambda + Q) * mdot with
         mdot = eps (rv_t dT/dt + rv_h dH/dt) - (rho_s/100) dH/dt.
         """
-        th = state.thermo
         p = self.params
-        cp_g = self._at_gauss(th.cp)
-        lamql_g = self._at_gauss(th.latent + th.sorption)
+        cp_g = self._at_gauss(corners["cp"])
+        lamql_g = self._at_gauss(corners["heat"])
         m_t = np.einsum("eg,ga->ea", self.wdetr * cp_g, self.shape) * p.rho_s
         s_lat = np.einsum("eg,ga->ea", self.wdetr * lamql_g, self.shape)
-        c_tt = m_t + s_lat * self.epsilon * state.rv_t
-        c_th = s_lat * (self.epsilon * state.rv_h - p.rho_s / 100.0)
+        c_tt = m_t + s_lat * self.epsilon * corners["rv_t"]
+        c_th = s_lat * (self.epsilon * corners["rv_h"] - p.rho_s / 100.0)
         return c_tt, c_th
 
     def _add_supg(self, re, v_r, v_z, rvc_g, kxy_g, kz_g, epsd_g,
@@ -557,12 +556,13 @@ class PressSystem:
         """Global residual; rows of constrained dofs replaced when asked."""
         ue = self._gather(u)
         due = None if dudt is None else self._gather(dudt)
-        re = self.element_residual(ue, due, t)
+        corners = self.nodal_state(u)[self.mesh.elements]
+        re = self.element_residual(ue, due, t, corners)
         r = np.zeros(self.n_dofs)
         np.add.at(r, self.elem_dofs, re.reshape(-1, 4 * N_VARS))
         if constrained:
-            dofs, vals = self.constraint_residual(u, t)
-            r[dofs] = vals
+            dofs = self.constrained_dofs()
+            r[dofs] = u[dofs] - self.constraint_targets(u, t)
         return r
 
     def ode_rates(self, u, t):
@@ -575,10 +575,10 @@ class PressSystem:
         """
         p = self.params
         eps = self.epsilon
-        ue = self._gather(u)
-        state = self._corner_state(ue)
-        re = self.element_residual(ue, None, t, state)  # spatial part only, scaled
-        c_tt, c_th = self._energy_storage(state)
+        corners = self.nodal_state(u)[self.mesh.elements]
+        # spatial part only, scaled
+        re = self.element_residual(self._gather(u), None, t, corners)
+        c_tt, c_th = self._energy_storage(corners)
 
         sc = self.row_scale
         n = self.mesh.n_nodes
@@ -604,7 +604,7 @@ class PressSystem:
             # rim energy rows: the moisture rate entering the latent coupling
             # follows the constraint H = H_bc(T), not the free moisture row
             rim = self.rim_nodes
-            h_slope, _ = self._rim_slopes(u)
+            h_slope = self.constraint_slopes(u, t)[self.rim_hdofs, IDX_T]
             d_t[rim] = -r_t[rim] / (m_tt[rim] + c_th[rim] * h_slope)
             d_h[rim] = h_slope * d_t[rim]
 
@@ -617,17 +617,15 @@ class PressSystem:
 
     # -- diagnostics ---------------------------------------------------------
 
-    def recover_velocity(self, u):
-        """Nodal Darcy gas velocity (n_nodes, 2) [m/s].
+    def recover_velocity(self, state):
+        """Nodal Darcy gas velocity (n_nodes, 2) [m/s] of the nodal state
+        ``state`` (from ``nodal_state``).
 
         The element pressure gradient is piecewise-discontinuous; nodal
         values are the volume-weighted average of the quadrature-point
         velocities (standard lumped L2 recovery).
         """
-        ue = self._gather(u)
-        th = derive_thermo(ue[:, :, IDX_T], ue[:, :, IDX_H], ue[:, :, IDX_A],
-                           self.params, self.epsilon)
-        v_r_g, v_z_g = self._gauss_velocity(th)
+        v_r_g, v_z_g = self._gauss_velocity(state[self.mesh.elements])
         num = np.zeros((self.mesh.n_nodes, 2))
         np.add.at(num[:, 0], self.mesh.elements,
                   np.einsum("eg,ga->ea", self.wdetr * v_r_g, self.shape))
@@ -668,10 +666,10 @@ class PressSystem:
         the nodes of ``u``.  The steam-air diffusivity varies as
         1/P_total, so a near-vacuum pore gas sets the limit.
         """
-        th = derive_thermo(*state_fields(u), self.params, self.epsilon)
-        kappa = np.maximum(th.kappa_xy, th.kappa_z)
-        alpha = max(float(np.max(kappa / (self.params.rho_s * th.cp))),
-                    float(np.max(th.diffusivity)))
+        s = self.nodal_state(u)
+        kappa = np.maximum(s["kappa_xy"], s["kappa_z"])
+        alpha = max(float(np.max(kappa / (self.params.rho_s * s["cp"]))),
+                    float(np.max(s["diffusivity"])))
         coords = self.mesh.nodes[self.mesh.elements]
         h_min = min(
             float(np.min(np.linalg.norm(coords[:, 1] - coords[:, 0], axis=1))),

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import derive_thermo, state_fields
+from .assembly import state_fields
 from .errors import HotPressError, ScenarioError
 from .scenario import humphrey_preset, load_scenario, run_scenario, \
     with_overrides
@@ -47,11 +47,12 @@ def _snapshot_name(t):
 def _write_snapshot(path, system, u, t):
     """One plain-text table of every nodal field at time t."""
     t_c, h, rho_a = state_fields(u)
-    th = derive_thermo(t_c, h, rho_a, system.params, system.epsilon)
-    vel = system.recover_velocity(u)
+    state = system.nodal_state(u)
+    vel = system.recover_velocity(state)
     nodes = system.mesh.nodes
     data = np.column_stack([nodes[:, 0], nodes[:, 1], t_c, h, rho_a,
-                            th.p_vapor, th.p_total, vel[:, 0], vel[:, 1]])
+                            state["p_vapor"], state["p_total"],
+                            vel[:, 0], vel[:, 1]])
     header = (f"t={t:.6f} s; columns: r[m] z[m] T[degC] H[%] "
               "rho_a[kg/m3] P_v[N/m2] P[N/m2] V_r[m/s] V_z[m/s]")
     np.savetxt(path, data, fmt="%.10e", header=header)

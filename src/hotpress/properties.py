@@ -123,16 +123,6 @@ def load_permeability_table(path=None):
     return dens, perm
 
 
-def _build_perm_interpolator(dens, perm):
-    """Monotone cubic interpolant of log10(K) vs density.
-
-    A straight least-squares line in log space misses the flattened dense
-    tail of the measurements by >20%, so interpolation is used instead; it
-    reproduces every tabulated point exactly and stays monotone.
-    """
-    return PchipInterpolator(dens, np.log10(perm), extrapolate=False)
-
-
 def vertical_permeability(rho_s, params):
     """Superficial vertical gas permeability at a given board density.
 
@@ -335,6 +325,10 @@ class HailwoodHorrobinIsotherm:
     (compressed fiber mats equilibrate slightly below solid wood);
     temperatures are clamped to ``t_range`` because the published k1
     polynomial changes sign above ~125 degC.
+
+    The clamp is a kink: above it dRH/dT is zero, so d(rho_v)/dT keeps
+    only its saturation-pressure term and falls by 12 % across 115 degC,
+    from 0.032585 to 0.028605 kg/(m3 K) at H = 10 %.
     """
 
     scale: float = 1.0
@@ -472,19 +466,33 @@ class MaterialParams:
     )
 
     def __post_init__(self):
-        if self.rho_s <= 0:
-            raise DomainError("rho_s must be positive")
-        for name in ("rho_f", "rho_r", "cp_vapor", "mm_air", "r_gas"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
+        # every message starts with the name of the offending field
+        for name in ("rho_s", "bulk_density", "kappa_anisotropy",
+                     "perm_anisotropy", "cp_vapor", "mm_air", "r_gas",
+                     "rho_f", "rho_r"):
+            value = getattr(self, name)
+            if value is None and name == "bulk_density":  # means rho_s
+                continue
+            if not (np.isfinite(value) and value > 0.0):
+                raise DomainError(f"{name} must be positive and finite, "
+                                  f"got {value!r}")
         if not 0.0 <= self.y_r < 1.0:
-            raise DomainError("y_r must lie in [0, 1)")
+            raise DomainError(f"y_r must lie in [0, 1), got {self.y_r!r}")
         if self.porosity_model not in ("simple", "suzuki"):
-            raise DomainError(f"unknown porosity model {self.porosity_model!r}")
-        dens, perm = load_permeability_table(self.perm_table_path)
+            raise DomainError("porosity_model must be 'simple' or 'suzuki', "
+                              f"got {self.porosity_model!r}")
+        try:
+            dens, perm = load_permeability_table(self.perm_table_path)
+        except (OSError, ValueError) as exc:
+            raise DomainError(f"perm_table_path {self.perm_table_path!r}: "
+                              f"{exc}") from exc
         object.__setattr__(self, "perm_density", dens)
         object.__setattr__(self, "perm_values", perm)
-        object.__setattr__(self, "_perm_interp", _build_perm_interpolator(dens, perm))
+        # monotone cubic interpolant of log10(K) through every tabulated
+        # point: a least-squares line in log space misses the flat dense
+        # tail of the measurements by >20 %
+        object.__setattr__(self, "_perm_interp", PchipInterpolator(
+            dens, np.log10(perm), extrapolate=False))
 
     def porosity_value(self):
         """Porosity of this board (bulk density defaults to rho_s)."""

@@ -27,7 +27,7 @@ import numpy as np
 import yaml
 
 from .assembly import PressSystem, pack_state
-from .errors import ScenarioError
+from .errors import DomainError, ScenarioError
 from .mesh import build_graded_mesh
 from .properties import (
     HailwoodHorrobinIsotherm,
@@ -352,8 +352,8 @@ def load_scenario(text):
             scale=_number(iso_scale, "material.isotherm_scale"))
     try:
         material = MaterialParams(**mat_kwargs)
-    except Exception as exc:
-        raise ScenarioError(f"invalid material: {exc}") from exc
+    except DomainError as exc:
+        raise ScenarioError(f"material.{exc}") from exc
 
     schedsec = _mapping(root.pop("schedule"), "schedule")
     points = _take(schedsec, "schedule", "breakpoints")

@@ -4,11 +4,11 @@ Implicit (backward Euler) stepping solves
 
     G(v) = M(v) (v - u_n)/dt + R_spatial(v, t_{n+1}) = 0
 
-by Newton iteration with an element-wise finite-difference Jacobian: twelve
-perturbed element-residual evaluations (one per local dof) plus the base,
-scattered into one sparse matrix.  At dt = inf the rate (v - u_n)/dt and
-its perturbation vanish, so the same Newton loop solves the steady
-problem ``R_spatial(v) = 0``.  The explicit scheme advances the
+by Newton iteration with a finite-difference Jacobian spliced from four
+nodal constitutive states: twelve perturbed element-residual evaluations
+(one per local dof) plus the base, scattered into one sparse matrix.  At
+dt = inf the rate (v - u_n)/dt and its perturbation vanish, so the same
+Newton loop solves the steady problem ``R_spatial(v) = 0``.  The explicit scheme advances the
 closed-form lumped rates and then re-assigns the constrained values.  Both
 schemes integrate the same semi-discrete system, so their trajectories
 agree to second order in dt.
@@ -28,7 +28,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
-from .assembly import N_VARS, STATE_SCALE, validate_state
+from .assembly import N_VARS, fd_step, validate_state
 from .errors import HotPressError, LinearSolveError, NewtonError, \
     ScenarioError
 
@@ -118,55 +118,63 @@ def rms(v):
 
 
 def fd_jacobian(system, u, t, dt, u_prev, eps_rel=1e-7):
-    """Sparse Jacobian of the residual by element-wise finite differences.
+    """Sparse Jacobian of the residual by finite differences spliced from
+    four nodal states.
 
     Differentiates the implicit map ``G(u) = residual(u, (u - u_prev)/dt,
-    t)``: each state perturbation also perturbs the rate by delta/dt.  At
+    t)``: each state step ``fd_step`` also steps the rate by delta/dt.  At
     ``dt = inf`` both vanish and this is the Jacobian of the spatial
-    residual.
-
-    Perturbation sizes are relative to each unknown with per-type floors,
-    so the columns are well-scaled for temperatures around 1e2 and air
-    densities around 1e-1.
-
-    Returns
-    -------
-    scipy.sparse.csr_matrix
-        Constrained rows replaced: unit diagonal plus the sensitivity of
-        state-dependent boundary targets to the local temperature.
+    residual.  The constitutive state is pointwise, so
+    ``system.nodal_state`` is evaluated at ``u`` and at ``u + delta e_c``
+    for each variable c, every node stepped at once.  Element column
+    (a, c) takes corner a from the stepped state and the others from the
+    base, a structured sparse difference (Curtis, Powell & Reid 1974).
+    Each constrained row is a unit diagonal minus
+    ``system.constraint_slopes``, the centered difference of its target.
     """
+    elements = system.mesh.elements
+    delta = fd_step(u, eps_rel)
     ue = system._gather(u)
     due = (ue - system._gather(u_prev)) / dt
+    de = system._gather(delta)
     rate_pert = 1.0 / dt
 
-    base = system.element_residual(ue, due, t)
+    corners = system.nodal_state(u)[elements]
+    base = system.element_residual(ue, due, t, corners)
     n_el = ue.shape[0]
     blocks = np.empty((n_el, 4 * N_VARS, 4 * N_VARS))
-    for local in range(4 * N_VARS):
-        a, c = divmod(local, N_VARS)
-        delta = eps_rel * np.maximum(np.abs(ue[:, a, c]), STATE_SCALE[c])
-        ue_p = ue.copy()
-        ue_p[:, a, c] += delta
-        due_p = due.copy()
-        due_p[:, a, c] += delta * rate_pert
-        pert = system.element_residual(ue_p, due_p, t)
-        blocks[:, :, local] = (
-            (pert - base).reshape(n_el, 4 * N_VARS) / delta[:, None]
-        )
+    for c in range(N_VARS):
+        step = np.zeros_like(u)
+        step[c::N_VARS] = delta[c::N_VARS]
+        stepped = system.nodal_state(u + step)
+        for a in range(4):
+            spliced = corners.copy()
+            spliced[:, a] = stepped[elements[:, a]]
+            ue_p = ue.copy()
+            ue_p[:, a, c] += de[:, a, c]
+            due_p = due.copy()
+            due_p[:, a, c] += de[:, a, c] * rate_pert
+            pert = system.element_residual(ue_p, due_p, t, spliced)
+            blocks[:, :, N_VARS * a + c] = (
+                (pert - base).reshape(n_el, 4 * N_VARS) / de[:, a, c, None]
+            )
 
+    del corners, spliced, stepped, de  # free them before the assembly's peak
     dofs = system.elem_dofs
     rows = np.repeat(dofs[:, :, None], 4 * N_VARS, axis=2).ravel()
     cols = np.repeat(dofs[:, None, :], 4 * N_VARS, axis=1).ravel()
     data = blocks.ravel().copy()
 
-    constrained = np.zeros(system.n_dofs, dtype=bool)
-    constrained[system.constrained_dofs()] = True
-    data[constrained[rows]] = 0.0
-
-    c_rows, c_cols, c_vals = system.constraint_jacobian_entries(u, t)
-    rows = np.concatenate([rows, c_rows])
-    cols = np.concatenate([cols, c_cols])
-    data = np.concatenate([data, c_vals])
+    constrained = system.constrained_dofs()
+    is_constrained = np.zeros(system.n_dofs, dtype=bool)
+    is_constrained[constrained] = True
+    data[is_constrained[rows]] = 0.0
+    c_cols = (constrained - constrained % N_VARS)[:, None] + np.arange(N_VARS)
+    c_vals = (c_cols == constrained[:, None]) \
+        - system.constraint_slopes(u, t, eps_rel)[constrained]
+    rows = np.concatenate([rows, np.repeat(constrained, N_VARS)])
+    cols = np.concatenate([cols, c_cols.ravel()])
+    data = np.concatenate([data, c_vals.ravel()])
     return coo_matrix(
         (data, (rows, cols)), shape=(system.n_dofs, system.n_dofs)
     ).tocsr()

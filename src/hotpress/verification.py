@@ -30,10 +30,10 @@ import numpy as np
 from .assembly import (
     N_VARS,
     STATE_SCALE,
-    CornerState,
     PressSystem,
     derive_thermo,
     pack_state,
+    state_fields,
     tau_supg,
     vapor_density_partials,
 )
@@ -98,10 +98,10 @@ class CheckResult:
 class FrozenCoefficientSystem(PressSystem):
     """``system`` with every coefficient evaluated at the state ``u_ref``.
 
-    The residual becomes affine in the state: the vapor density is
-    linearized about ``u_ref`` and the rim targets are held at their
-    ``u_ref`` values.  Used by the exact-linearity and single-Newton-step
-    tests.
+    The residual becomes affine in the state: the transported vapor
+    density is linearized about ``u_ref`` and the rim targets are held at
+    their ``u_ref`` values.  Used by the exact-linearity and
+    single-Newton-step tests.
     """
 
     def __init__(self, system, u_ref):
@@ -109,23 +109,19 @@ class FrozenCoefficientSystem(PressSystem):
                          system.platen_temperature,
                          (system.t_atm, system.hr_atm, system.p_atm),
                          system.sealed_radius)
-        self._ue_ref = self._gather(u_ref)
-        self._ref = super()._corner_state(self._ue_ref)
+        self._ref = super().nodal_state(u_ref)
+        self._t_ref, self._h_ref, _ = state_fields(np.array(u_ref, dtype=float))
         self._rim_ref = super()._rim_targets(u_ref)
 
-    def _corner_state(self, ue):
-        ref = self._ref
-        d_t = ue[:, :, 0] - self._ue_ref[:, :, 0]
-        d_h = ue[:, :, 1] - self._ue_ref[:, :, 1]
-        rho_v = ref.thermo.rho_v + ref.rv_t * d_t + ref.rv_h * d_h
-        return CornerState(ref.thermo, ref.rv_t, ref.rv_h, rho_v)
+    def nodal_state(self, u):
+        t_c, h, _ = state_fields(u)
+        s = self._ref.copy()
+        s["rho_v"] = s["rho_v"] + s["rv_t"] * (t_c - self._t_ref) \
+            + s["rv_h"] * (h - self._h_ref)
+        return s
 
     def _rim_targets(self, u):
         return self._rim_ref
-
-    def _rim_slopes(self, u):
-        zero = np.zeros(len(self.rim_nodes))
-        return zero, zero
 
 
 class ManufacturedSystem(PressSystem):
@@ -161,21 +157,11 @@ class ManufacturedSystem(PressSystem):
     def constrained_dofs(self):
         return self.boundary_dofs
 
-    def constraint_residual(self, u, t):
-        dofs = self.boundary_dofs
-        return dofs, u[dofs] - self.solution.state(self.mesh, t)[dofs]
+    def constraint_targets(self, u, t):
+        return self.solution.state(self.mesh, t)[self.boundary_dofs]
 
-    def apply_dirichlet(self, u, t):
-        u[self.boundary_dofs] = self.solution.state(self.mesh, t)[
-            self.boundary_dofs]
-        return u
-
-    def constraint_jacobian_entries(self, u, t):
-        dofs = self.boundary_dofs
-        return dofs, dofs, np.ones(len(dofs))
-
-    def element_residual(self, ue, due, t, state=None):
-        re = super().element_residual(ue, due, t, state)
+    def element_residual(self, ue, due, t, corners):
+        re = super().element_residual(ue, due, t, corners)
         src = np.einsum("eg,ga,egc->eac", self.wdetr, self.shape,
                         self.source(t))
         return re - src * self.row_scale[None, None, :]
@@ -661,20 +647,15 @@ def properties_suite():
 # suite registry
 # ---------------------------------------------------------------------------
 
-SUITE_NAMES = ("mms", "conservation", "jacobian", "supg", "properties")
+_SUITES = {"mms": mms_suite, "conservation": conservation_suite,
+           "jacobian": jacobian_suite, "supg": supg_suite,
+           "properties": properties_suite}
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name):
     """Run one named verification suite; returns its check list."""
-    if name == "mms":
-        return mms_suite()
-    if name == "conservation":
-        return conservation_suite()
-    if name == "jacobian":
-        return jacobian_suite()
-    if name == "supg":
-        return supg_suite()
-    if name == "properties":
-        return properties_suite()
-    raise ValueError(
-        f"unknown suite {name!r}; valid suites: {', '.join(SUITE_NAMES)}")
+    if name not in _SUITES:
+        raise ValueError(
+            f"unknown suite {name!r}; valid suites: {', '.join(SUITE_NAMES)}")
+    return _SUITES[name]()

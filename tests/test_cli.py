@@ -205,6 +205,16 @@ class TestRunErrors:
         assert rc == 2, f"a malformed field is a usage error, got exit {rc}"
         assert "solver.dt" in capsys.readouterr().err
 
+    def test_out_of_range_material_exits_2(self, tmp_path, scenario_file,
+                                           capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(scenario_file.read_text().replace(
+            "  kappa_anisotropy: 1.5\n", "  kappa_anisotropy: -1.0\n"))
+        assert "kappa_anisotropy: -1.0" in bad.read_text()
+        rc = cli.main(["run", "--scenario", str(bad), "--out", str(tmp_path)])
+        assert rc == 2, f"an out-of-range constant is a usage error, got {rc}"
+        assert "material.kappa_anisotropy" in capsys.readouterr().err
+
     def test_solver_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         def boom(scenario, **kwargs):
             raise NewtonError("no convergence (synthetic)")

@@ -245,6 +245,16 @@ class TestMaterialParams:
         with pytest.raises(DomainError):
             pr.MaterialParams(rho_s=600.0, porosity_model="nope")
 
+    @pytest.mark.parametrize("name", ["rho_s", "bulk_density",
+                                      "kappa_anisotropy", "perm_anisotropy",
+                                      "cp_vapor", "mm_air", "r_gas", "rho_f",
+                                      "rho_r", "y_r"])
+    @pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+    def test_bad_numeric_field_named(self, name, value):
+        kwargs = {"rho_s": 586.0, name: value}
+        with pytest.raises(DomainError, match=f"^{name} "):
+            pr.MaterialParams(**kwargs)
+
     def test_equality_roundtrip(self):
         a = pr.MaterialParams(rho_s=586.0)
         b = pr.MaterialParams(rho_s=586.0)

@@ -332,6 +332,14 @@ class TestMalformedFields:
         with pytest.raises(ScenarioError, match=dotted.replace(".", r"\.")):
             load_scenario(_with_field(dotted, value))
 
+    @pytest.mark.parametrize("key", ["rho_s", "bulk_density",
+                                     "kappa_anisotropy", "perm_anisotropy",
+                                     "cp_vapor", "mm_air", "r_gas", "rho_f",
+                                     "rho_r", "y_r"])
+    def test_out_of_range_material_named(self, key):
+        with pytest.raises(ScenarioError, match=rf"^material\.{key} "):
+            load_scenario(_with_field(f"material.{key}", -1.0))
+
     @pytest.mark.parametrize("dotted", ["solver.newton_max_iter", "mesh.n_r"])
     def test_non_finite_count_rejected(self, dotted):
         with pytest.raises(ScenarioError, match=dotted.split(".")[1]):

@@ -8,7 +8,7 @@ from hotpress import assembly as asm
 from hotpress import mesh as hm
 from hotpress import solver as slv
 from hotpress.errors import LinearSolveError, NewtonError, StepError
-from hotpress.properties import MaterialParams
+from hotpress.properties import HailwoodHorrobinIsotherm, MaterialParams
 from hotpress.solver import SolverConfig
 from hotpress.verification import FrozenCoefficientSystem
 
@@ -206,6 +206,51 @@ class TestJacobian:
         free[system.constrained_dofs()] = False
         sub = a[np.ix_(free, free)]
         assert np.array_equal(sub, sub.T)
+
+    def test_matches_dofwise_difference_of_the_residual(self, params):
+        """Every column equals a one-dof-at-a-time difference of the global
+        residual, so no corner is spliced from the wrong node."""
+        m = hm.build_graded_mesh(0.2828, 0.0075, 3, 3, 4.0)
+        system = asm.PressSystem(m, params, ramp_schedule, AMBIENT)
+        rng = np.random.default_rng(3)
+        n = m.n_nodes
+        u = asm.pack_state(30.0 + 90.0 * rng.random(n), 5.0 + 7.0 * rng.random(n),
+                           0.2 + 0.8 * rng.random(n))
+        u_prev = u - 0.1 * rng.standard_normal(u.size)
+        t, dt = 40.0, 0.5
+
+        def g(v):
+            return system.residual(v, (v - u_prev) / dt, t)
+
+        jac = slv.fd_jacobian(system, u, t, dt=dt, u_prev=u_prev).toarray()
+        delta = asm.fd_step(u, 1e-7)
+        g0 = g(u)
+        for j in range(u.size):
+            v = u.copy()
+            v[j] += delta[j]
+            col = (g(v) - g0) / delta[j]
+            err = np.linalg.norm(jac[:, j] - col) / np.linalg.norm(col)
+            assert err < 1e-6, f"column {j} off by {err:.2e}"
+
+    def test_isotherm_inverted_once_per_node_and_state(self, system, u_smooth,
+                                                       monkeypatch):
+        """A residual evaluates the material laws on the nodes once; a
+        Jacobian on four nodal states."""
+        u, t = u_smooth
+        points = []
+        inverse = HailwoodHorrobinIsotherm.hr_from_emc
+
+        def counted(iso, t_c, h_pct):
+            points.append(np.size(h_pct))
+            return inverse(iso, t_c, h_pct)
+
+        monkeypatch.setattr(HailwoodHorrobinIsotherm, "hr_from_emc", counted)
+        n = system.mesh.n_nodes
+        system.residual(u, np.zeros_like(u), t)
+        assert sum(points) == n
+        points.clear()
+        slv.fd_jacobian(system, u, t, dt=1.0, u_prev=u)
+        assert sum(points) == 4 * n
 
 
 class TestLinearSolve:
