@@ -10,19 +10,29 @@ The semi-discrete system integrated by the solver is
 where ``M`` is a row-sum lumped mass operator per node (heat capacity,
 moisture storage, air storage, plus the latent evaporation coupling of the
 energy row to dT/dt and dH/dt through the vapor-density chain rule), and
-``R_spatial`` carries the axisymmetric Galerkin flux terms, the sensible
-heat advected by the vapor and streamline (SUPG) stabilization of the
-convective terms.
+``R_spatial`` is one Petrov-Galerkin statement for the three balances
+(T, H, rho_a).  Corner a of an element receives
+
+    R_a = sum_g w (grad N_a . F + N_a S + tau c V . grad N_a)
+    F = [kappa grad T,  eps D grad rho_v - V rho_v,  eps D grad rho_a - V rho_a]
+    c = [rho_v cp_vapor V . grad T,  V . grad rho_v,  V . grad rho_a],  S = [c_T, 0, 0]
+
+over its 2x2 Gauss points g, with weights w = w_g det(J) r (the
+axisymmetric factor 2 pi is common to every term and dropped): the (2, 3)
+flux F, the sensible-heat source S, and the streamline (SUPG) perturbation
+of the test function with the time scales ``tau`` of
+``PressSystem._supg_tau`` (Brooks & Hughes 1982).  As sum_a grad N_a = 0,
+the moisture and air rows of each element sum to zero over its corners:
+the scheme is conservative element by element.
 
 The energy row charges the phase-change heat once, through
 ``(lambda + Q) * mdot`` with the evaporation rate
 ``mdot = eps d(rho_v)/dt - (rho_s/100) dH/dt``.  The moisture row makes
 ``-(rho_s/100) dH/dt`` the divergence of the vapor flux, so ``mdot``
 already contains the latent heat the gas carries; the gas convects only
-its sensible heat, ``rho_v cp_vapor V . grad T``, written in advective
-(non-divergence) form.  That form needs no rim boundary term: gas leaves
-the open rim at the local temperature and the rim keeps zero conductive
-flux.
+its sensible heat, S, in advective form, which needs no rim boundary term:
+gas leaves the open rim at the local temperature and the rim keeps zero
+conductive flux.
 
 ``PressSystem.residual(u, dudt, t)`` evaluates
 ``M(u)*dudt + R_spatial(u, t)`` with equation rows scaled to comparable
@@ -39,10 +49,6 @@ gather its records to element corners through ``mesh.elements``; the
 finite-difference Jacobian splices corners from perturbed nodal states.
 ``PressSystem`` has no verification modes: the manufactured-solution and
 frozen-coefficient systems are subclasses in ``verification``.
-
-Element integrals are evaluated with 2x2 Gauss quadrature and the
-axisymmetric volume weight r; the factor 2*pi is common to every term and
-dropped.
 """
 
 from __future__ import annotations
@@ -252,6 +258,11 @@ def darcy_velocity(grad_p, mob_xy, mob_z):
     return -mob_xy * grad_p[..., 0], -mob_z * grad_p[..., 1]
 
 
+def _along(vec, grad):
+    """vec . grad at the quadrature points, (n_el, n_gp, 2) . (n_el, n_gp, 2, k)."""
+    return vec[..., 0, None] * grad[:, :, 0] + vec[..., 1, None] * grad[:, :, 1]
+
+
 def tau_supg(a_mag, h, kappa):
     """Streamline stabilization time scale.
 
@@ -310,13 +321,18 @@ class PressSystem:
 
         rule = hmesh.QuadratureRule.gauss(2)
         coords = mesh.nodes[mesh.elements]
-        self.shape, self.grad, detj, self.gp_xy = hmesh.element_geometry(coords, rule)
-        r_gp = self.gp_xy[..., 0]
-        self.wdetr = rule.weights[None, :] * detj * r_gp          # (n_el, n_gp)
-        self.omega = np.einsum("eg,ga->ea", self.wdetr, self.shape)
+        self.shape, grad, detj, self.gp_xy = hmesh.element_geometry(coords, rule)
+        wdetr = rule.weights[None, :] * detj * self.gp_xy[..., 0]  # (n_el, n_gp)
+        # element operators for batched matmuls: ``shape`` and ``grad_gauss``
+        # (rows g*2 + d) take corner fields (n_el, 4, k) to the quadrature
+        # points, ``n_test`` (w N_a) and ``grad_test`` (w dN_a/dx_d) back
+        self.grad_gauss = grad.transpose(0, 1, 3, 2).reshape(len(grad), -1, 4)
+        self.n_test = np.einsum("eg,ga->eag", wdetr, self.shape)
+        self.grad_test = np.einsum("eg,egad->eagd", wdetr, grad).reshape(
+            len(grad), 4, -1)
+        self.omega = self.n_test.sum(axis=2)
         # lumped r-weighted volume of each node
-        self.nodal_volume = np.zeros(mesh.n_nodes)
-        np.add.at(self.nodal_volume, mesh.elements, self.omega)
+        self.nodal_volume = self._assemble(self.omega[..., None])[:, 0]
         # fallback streamline length where the velocity vanishes
         self.h_fallback = np.sqrt(np.sum(rule.weights[None, :] * detj, axis=1))
 
@@ -408,13 +424,23 @@ class PressSystem:
         """Element-local copies of the state, shape (n_el, 4, 3)."""
         return u[self.elem_dofs].reshape(-1, 4, N_VARS)
 
+    def _assemble(self, blocks):
+        """Sum element-corner blocks (n_el, 4, k) into nodal rows
+        (n_nodes, k); with k = 3 the rows ravel to the interleaved dofs."""
+        k = blocks.shape[-1]
+        slots = (k * self.mesh.elements[..., None] + np.arange(k)).ravel()
+        return np.bincount(slots, weights=blocks.ravel(),
+                           minlength=k * self.mesh.n_nodes).reshape(-1, k)
+
     def _at_gauss(self, f):
-        """Corner values (n_el, 4) interpolated to the quadrature points."""
-        return np.einsum("ga,ea->eg", self.shape, f)
+        """Corner fields (n_el, 4, k) interpolated to the quadrature
+        points, shape (n_el, n_gp, k)."""
+        return self.shape @ f
 
     def _grad_at_gauss(self, f):
-        """(d/dr, d/dz) of corner values at the quadrature points."""
-        return np.einsum("egad,ea->egd", self.grad, f)
+        """(d/dr, d/dz) of corner fields (n_el, 4, k) at the quadrature
+        points, shape (n_el, n_gp, 2, k)."""
+        return (self.grad_gauss @ f).reshape(len(f), -1, 2, f.shape[-1])
 
     def nodal_state(self, u):
         """One ``NODAL_STATE`` record per node of ``u``: the one place the
@@ -434,10 +460,10 @@ class PressSystem:
         return s
 
     def _gauss_velocity(self, corners):
-        """Darcy gas velocity (V_r, V_z) at the quadrature points."""
-        return darcy_velocity(self._grad_at_gauss(corners["p_total"]),
-                              self._at_gauss(corners["mob_xy"]),
-                              self._at_gauss(corners["mob_z"]))
+        """Darcy gas velocity (n_el, n_gp, 2) at the quadrature points."""
+        mob = self._at_gauss(np.stack([corners["mob_xy"], corners["mob_z"]], axis=-1))
+        grad_p = self._grad_at_gauss(corners["p_total"][..., None])[..., 0]
+        return np.stack(darcy_velocity(grad_p, mob[..., 0], mob[..., 1]), axis=-1)
 
     def element_residual(self, ue, due, t, corners):
         """Scaled element residual rows, shape (n_el, 4, 3).
@@ -445,50 +471,38 @@ class PressSystem:
         ``ue``/``due`` are element-local states and rates, and ``corners``
         is the nodal state gathered to the element corners; summing the
         returned blocks over elements yields the unconstrained global
-        residual.
+        residual.  The spatial part is the weak form of the module
+        docstring, one statement for the three balances.
         """
         p = self.params
-        eps = self.epsilon
-        val = self._at_gauss
-        grad_of = self._grad_at_gauss
-        t_live = ue[:, :, 0]
-        a_live = ue[:, :, 2]
+        # (T, rho_v, rho_a): what each balance conducts or diffuses, and
+        # what the gas convects
+        carried = np.stack([ue[:, :, IDX_T], corners["rho_v"], ue[:, :, IDX_A]],
+                           axis=-1)
+        u_g = self._at_gauss(carried)
+        grad_u = self._grad_at_gauss(carried)                 # (n_el, n_gp, 2, 3)
+        coef = self._at_gauss(np.stack(
+            [corners["kappa_xy"], corners["kappa_z"],
+             self.epsilon * corners["diffusivity"], corners["rho_v_adv"]], axis=-1))
+        kappa, eps_d = coef[..., :2], coef[..., 2]
+        heat_adv = coef[..., 3] * p.cp_vapor                  # rho_v,adv cp_vapor
+        vel = self._gauss_velocity(corners)
 
-        rv_g = val(corners["rho_v"])
-        rvc_g = val(corners["rho_v_adv"])  # advection coefficient
-        a_g = val(a_live)
-        kxy_g = val(corners["kappa_xy"])
-        kz_g = val(corners["kappa_z"])
-        epsd_g = val(eps * corners["diffusivity"])
+        # F: conduction; interdiffusion less the convection of rho_v, rho_a
+        flux = np.empty_like(grad_u)
+        flux[..., IDX_T] = kappa * grad_u[..., IDX_T]
+        flux[..., IDX_H:] = eps_d[..., None, None] * grad_u[..., IDX_H:] \
+            - vel[..., None] * u_g[:, :, None, IDX_H:]
+        # c = V . grad(T, rho_v, rho_a); the vapor carries sensible heat
+        conv = _along(vel, grad_u)
+        conv[..., IDX_T] *= heat_adv
+        tau = self._supg_tau(vel, kappa, eps_d, heat_adv)
 
-        g_t = grad_of(t_live)
-        g_rv = grad_of(corners["rho_v"])
-        g_a = grad_of(a_live)
-        v_r, v_z = self._gauss_velocity(corners)
-
-        # fluxes at quadrature points
-        f_t_r = kxy_g * g_t[..., 0]
-        f_t_z = kz_g * g_t[..., 1]
-        q_h_r = epsd_g * g_rv[..., 0] - v_r * rv_g
-        q_h_z = epsd_g * g_rv[..., 1] - v_z * rv_g
-        q_a_r = epsd_g * g_a[..., 0] - v_r * a_g
-        q_a_z = epsd_g * g_a[..., 1] - v_z * a_g
-
-        re = np.zeros(ue.shape)
-        w = self.wdetr
-        gr = self.grad
-        # sensible heat advected by the vapor (latent part is in mdot)
-        adv_t = rvc_g * p.cp_vapor * (v_r * g_t[..., 0] + v_z * g_t[..., 1])
-        re[:, :, IDX_T] = np.einsum("eg,ega->ea", w * f_t_r, gr[..., 0]) \
-            + np.einsum("eg,ega->ea", w * f_t_z, gr[..., 1]) \
-            + np.einsum("eg,ga->ea", w * adv_t, self.shape)
-        re[:, :, IDX_H] = np.einsum("eg,ega->ea", w * q_h_r, gr[..., 0]) \
-            + np.einsum("eg,ega->ea", w * q_h_z, gr[..., 1])
-        re[:, :, IDX_A] = np.einsum("eg,ega->ea", w * q_a_r, gr[..., 0]) \
-            + np.einsum("eg,ega->ea", w * q_a_z, gr[..., 1])
-
-        self._add_supg(re, v_r, v_z, rvc_g, kxy_g, kz_g, epsd_g,
-                       adv_t, g_rv, g_a)
+        # dN_a pairs with F and, through the streamline test function
+        # tau V . grad N_a, with tau c V; N_a with S = c_T
+        re = self.grad_test @ (flux + vel[..., None] * (tau * conv)[:, :, None, :]
+                               ).reshape(len(ue), -1, N_VARS)
+        re[:, :, IDX_T] += (self.n_test @ conv[..., IDX_T, None])[..., 0]
 
         if due is not None:
             c_tt, c_th = self._energy_storage(corners)
@@ -496,7 +510,7 @@ class PressSystem:
             d_h = due[:, :, IDX_H]
             re[:, :, IDX_T] += c_tt * d_t + c_th * d_h
             re[:, :, IDX_H] += (p.rho_s / 100.0) * self.omega * d_h
-            re[:, :, IDX_A] += eps * self.omega * due[:, :, IDX_A]
+            re[:, :, IDX_A] += self.epsilon * self.omega * due[:, :, IDX_A]
 
         return re * self.row_scale[None, None, :]
 
@@ -508,47 +522,36 @@ class PressSystem:
         mdot = eps (rv_t dT/dt + rv_h dH/dt) - (rho_s/100) dH/dt.
         """
         p = self.params
-        cp_g = self._at_gauss(corners["cp"])
-        lamql_g = self._at_gauss(corners["heat"])
-        m_t = np.einsum("eg,ga->ea", self.wdetr * cp_g, self.shape) * p.rho_s
-        s_lat = np.einsum("eg,ga->ea", self.wdetr * lamql_g, self.shape)
+        m = self.n_test @ self._at_gauss(
+            np.stack([corners["cp"], corners["heat"]], axis=-1))
+        m_t = m[..., 0] * p.rho_s
+        s_lat = m[..., 1]
         c_tt = m_t + s_lat * self.epsilon * corners["rv_t"]
         c_th = s_lat * (self.epsilon * corners["rv_h"] - p.rho_s / 100.0)
         return c_tt, c_th
 
-    def _add_supg(self, re, v_r, v_z, rvc_g, kxy_g, kz_g, epsd_g,
-                  strong_t, g_rv, g_a):
-        """Streamline perturbation of the test functions on convective terms."""
-        p = self.params
-        v_mag = np.sqrt(v_r**2 + v_z**2 + 1e-300)
-        s_r = v_r / v_mag
-        s_z = v_z / v_mag
+    def _supg_tau(self, vel, kappa, eps_d, heat_adv):
+        """Streamline time scales (n_el, n_gp, 3) of the three balances.
+
+        Row c tests its convective term c_c against tau_c V . grad N_a
+        (Brooks & Hughes 1982).  The energy entry carries the coefficient
+        ``heat_adv`` = rho_v cp_vapor of its convective term once more, as
+        its streamline speed is heat_adv |V|; moisture and air share
+        velocity and diffusivity, hence tau.
+        """
+        v_mag = np.sqrt(vel[..., 0]**2 + vel[..., 1]**2 + 1e-300)
+        s = vel / v_mag[..., None]
         # streamline element length h = 2 / sum_a |s . grad N_a|
-        proj = np.abs(np.einsum("eg,ega->ega", s_r, self.grad[..., 0])
-                      + np.einsum("eg,ega->ega", s_z, self.grad[..., 1]))
-        denom = proj.sum(axis=2)
+        denom = np.abs(_along(s, self.grad_gauss.reshape(len(vel), -1, 2, 4))
+                       ).sum(axis=-1)
         h_s = np.where(denom > 1e-12, 2.0 / np.maximum(denom, 1e-12),
                        self.h_fallback[:, None])
-
-        a_dot_gn = np.einsum("eg,ega->ega", v_r, self.grad[..., 0]) \
-            + np.einsum("eg,ega->ega", v_z, self.grad[..., 1])
-
-        # energy: advective coefficient rho_v cp_vapor V, directional conductivity
-        a_t = rvc_g * p.cp_vapor * v_mag
-        kappa_dir = kxy_g * s_r**2 + kz_g * s_z**2
-        tau_t = tau_supg(a_t, h_s, np.maximum(kappa_dir, 1e-12))
-        re[:, :, IDX_T] += np.einsum(
-            "eg,ega->ea", self.wdetr * tau_t * rvc_g * p.cp_vapor * strong_t, a_dot_gn
-        )
-
-        # moisture and air share velocity and diffusivity, hence tau
-        tau_m = tau_supg(v_mag, h_s, np.maximum(epsd_g, 1e-30))
-        strong_h = v_r * g_rv[..., 0] + v_z * g_rv[..., 1]
-        strong_a = v_r * g_a[..., 0] + v_z * g_a[..., 1]
-        re[:, :, IDX_H] += np.einsum("eg,ega->ea",
-                                     self.wdetr * tau_m * strong_h, a_dot_gn)
-        re[:, :, IDX_A] += np.einsum("eg,ega->ea",
-                                     self.wdetr * tau_m * strong_a, a_dot_gn)
+        kappa_dir = kappa[..., 0] * s[..., 0]**2 + kappa[..., 1] * s[..., 1]**2
+        tau = np.empty(v_mag.shape + (N_VARS,))
+        tau[..., IDX_T] = heat_adv * tau_supg(
+            heat_adv * v_mag, h_s, np.maximum(kappa_dir, 1e-12))
+        tau[..., IDX_H:] = tau_supg(v_mag, h_s, np.maximum(eps_d, 1e-30))[..., None]
+        return tau
 
     # -- global residual -----------------------------------------------------
 
@@ -557,9 +560,7 @@ class PressSystem:
         ue = self._gather(u)
         due = None if dudt is None else self._gather(dudt)
         corners = self.nodal_state(u)[self.mesh.elements]
-        re = self.element_residual(ue, due, t, corners)
-        r = np.zeros(self.n_dofs)
-        np.add.at(r, self.elem_dofs, re.reshape(-1, 4 * N_VARS))
+        r = self._assemble(self.element_residual(ue, due, t, corners)).ravel()
         if constrained:
             dofs = self.constrained_dofs()
             r[dofs] = u[dofs] - self.constraint_targets(u, t)
@@ -574,30 +575,16 @@ class PressSystem:
         not integrated).
         """
         p = self.params
-        eps = self.epsilon
         corners = self.nodal_state(u)[self.mesh.elements]
         # spatial part only, scaled
         re = self.element_residual(self._gather(u), None, t, corners)
         c_tt, c_th = self._energy_storage(corners)
 
         sc = self.row_scale
-        n = self.mesh.n_nodes
-        rsp = np.zeros(self.n_dofs)
-        np.add.at(rsp, self.elem_dofs, re.reshape(-1, 4 * N_VARS))
-
-        def scatter(field, scale):
-            out = np.zeros(n)
-            np.add.at(out, self.mesh.elements, field * scale)
-            return out
-
-        m_tt = scatter(c_tt, sc[IDX_T])
-        c_th = scatter(c_th, sc[IDX_T])
-
-        r_t = rsp[IDX_T::N_VARS]
-        r_h = rsp[IDX_H::N_VARS]
-        r_a = rsp[IDX_A::N_VARS]
+        r_t, r_h, r_a = self._assemble(re).T
+        m_tt, c_th = self._assemble(np.stack([c_tt, c_th], axis=-1) * sc[IDX_T]).T
         d_h = -r_h / (self.nodal_volume * (p.rho_s / 100.0 * sc[IDX_H]))
-        d_a = -r_a / (self.nodal_volume * (eps * sc[IDX_A]))
+        d_a = -r_a / (self.nodal_volume * (self.epsilon * sc[IDX_A]))
         d_t = (-r_t - c_th * d_h) / m_tt
 
         if not self.sealed_radius:
@@ -608,10 +595,7 @@ class PressSystem:
             d_t[rim] = -r_t[rim] / (m_tt[rim] + c_th[rim] * h_slope)
             d_h[rim] = h_slope * d_t[rim]
 
-        rates = np.zeros(self.n_dofs)
-        rates[IDX_T::N_VARS] = d_t
-        rates[IDX_H::N_VARS] = d_h
-        rates[IDX_A::N_VARS] = d_a
+        rates = pack_state(d_t, d_h, d_a)
         rates[self.constrained_dofs()] = 0.0
         return rates
 
@@ -625,13 +609,8 @@ class PressSystem:
         values are the volume-weighted average of the quadrature-point
         velocities (standard lumped L2 recovery).
         """
-        v_r_g, v_z_g = self._gauss_velocity(state[self.mesh.elements])
-        num = np.zeros((self.mesh.n_nodes, 2))
-        np.add.at(num[:, 0], self.mesh.elements,
-                  np.einsum("eg,ga->ea", self.wdetr * v_r_g, self.shape))
-        np.add.at(num[:, 1], self.mesh.elements,
-                  np.einsum("eg,ga->ea", self.wdetr * v_z_g, self.shape))
-        return num / self.nodal_volume[:, None]
+        vel = self._gauss_velocity(state[self.mesh.elements])
+        return self._assemble(self.n_test @ vel) / self.nodal_volume[:, None]
 
     def lumped_water(self, u):
         """Water functional conserved by the sealed variant:

@@ -334,6 +334,11 @@ class HailwoodHorrobinIsotherm:
     scale: float = 1.0
     t_range: tuple = (0.0, 115.0)  # degC
 
+    def __post_init__(self):
+        if not (np.isfinite(self.scale) and self.scale > 0.0):
+            raise DomainError(f"scale must be positive and finite, "
+                              f"got {self.scale!r}")
+
     def _coefficients(self, t_c):
         """``(pref, k, a, b)`` of EMC = pref g(k RH/100, a, b) at T [degC],
         with pref = scale 1800/W, a = k1 and b = k1 k2, and their

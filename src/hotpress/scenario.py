@@ -168,6 +168,17 @@ class Scenario:
             object.__setattr__(self, name, int(value))
         if not isinstance(self.material, MaterialParams):
             raise ScenarioError("material must be a MaterialParams instance")
+        # the gas balances divide by the porosity: it must lie in (0, 1)
+        key = "bulk_density" if self.material.porosity_model == "simple" \
+            else "rho_s"
+        try:
+            eps = self.material.porosity_value()
+        except DomainError as exc:
+            raise ScenarioError(f"material.{key}: {exc}") from exc
+        if eps <= 0.0:
+            raise ScenarioError(
+                f"material.{key}: porosity 0 for model "
+                f"{self.material.porosity_model!r} leaves no pore space")
         if not isinstance(self.schedule, PressSchedule):
             raise ScenarioError("schedule must be a PressSchedule instance")
         if not isinstance(self.solver, SolverConfig):
@@ -348,8 +359,11 @@ def load_scenario(text):
             mat_kwargs[key] = value
     _reject_unknown(matsec, "material")
     if iso_scale is not None:
-        mat_kwargs["isotherm"] = HailwoodHorrobinIsotherm(
-            scale=_number(iso_scale, "material.isotherm_scale"))
+        try:
+            mat_kwargs["isotherm"] = HailwoodHorrobinIsotherm(
+                scale=_number(iso_scale, "material.isotherm_scale"))
+        except DomainError as exc:  # the message starts with "scale"
+            raise ScenarioError(f"material.isotherm_{exc}") from exc
     try:
         material = MaterialParams(**mat_kwargs)
     except DomainError as exc:

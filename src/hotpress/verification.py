@@ -162,13 +162,12 @@ class ManufacturedSystem(PressSystem):
 
     def element_residual(self, ue, due, t, corners):
         re = super().element_residual(ue, due, t, corners)
-        src = np.einsum("eg,ga,egc->eac", self.wdetr, self.shape,
-                        self.source(t))
-        return re - src * self.row_scale[None, None, :]
+        return re - (self.n_test @ self.source(t)) * self.row_scale
 
-    def _add_supg(self, re, *args):
+    def _supg_tau(self, vel, *args):
         if self.stabilization:
-            super()._add_supg(re, *args)
+            return super()._supg_tau(vel, *args)
+        return np.zeros(vel.shape[:2] + (N_VARS,))
 
 
 # ---------------------------------------------------------------------------

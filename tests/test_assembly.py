@@ -249,6 +249,26 @@ class TestResidual:
         r = open_system.residual(u, dudt, 0.0)
         assert r[free_t] > 0.0
 
+    def test_elements_conserve_moisture_and_air(self, open_system):
+        """Over each element's four corners the moisture and air rows sum
+        to zero, since sum_a grad N_a = 0: flux and streamline terms alike
+        only move water and air between corners."""
+        mesh = open_system.mesh
+        r = mesh.nodes[:, 0] / 0.2828
+        z = mesh.nodes[:, 1] / 0.0075
+        u = asm.pack_state(30.0 + 80.0 * z**2 + 10.0 * r,
+                           11.0 - 4.0 * z + 2.0 * r**2,
+                           0.2 + 0.9 * r**2 + 0.3 * z)
+        open_system.apply_dirichlet(u, 10.0)  # ambient rim, 30 degC platen
+        corners = open_system.nodal_state(u)[mesh.elements]
+        re = open_system.element_residual(open_system._gather(u), None, 10.0,
+                                          corners)
+        for c in (asm.IDX_H, asm.IDX_A):
+            scale = np.abs(re[:, :, c]).max()
+            assert scale > 0.0
+            worst = np.abs(re[:, :, c].sum(axis=1)).max() / scale
+            assert worst <= 1e-13, f"row {c}: element sums {worst:.1e}"
+
     def test_radial_uniformity_preserved(self, params):
         """Sealed run from an r-uniform state: rates must not depend on r."""
         m = hm.build_graded_mesh(0.2828, 0.0075, 6, 10, 4.0)

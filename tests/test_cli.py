@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from hotpress import cli
 from hotpress.errors import NewtonError
@@ -214,6 +215,27 @@ class TestRunErrors:
         rc = cli.main(["run", "--scenario", str(bad), "--out", str(tmp_path)])
         assert rc == 2, f"an out-of-range constant is a usage error, got {rc}"
         assert "material.kappa_anisotropy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("material, field", [
+        ({"porosity_model": "simple"}, "material.bulk_density"),  # porosity 0
+        ({"rho_s": 1200.0}, "material.rho_s"),          # Suzuki porosity -0.31
+        ({"porosity_model": "simple", "bulk_density": 700.0},
+         "material.bulk_density"),
+        ({"isotherm_scale": -1.0}, "material.isotherm_scale"),
+        ({"isotherm_scale": 0.0}, "material.isotherm_scale"),
+    ])
+    def test_unphysical_material_exits_2(self, tmp_path, scenario_file,
+                                         capsys, material, field):
+        doc = yaml.safe_load(scenario_file.read_text())
+        doc["material"].update(material)
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(doc))
+        rc = cli.main(["run", "--scenario", str(bad), "--out", str(tmp_path),
+                       "--t-end", "1"])
+        assert rc == 2, f"an unphysical material is a usage error, got {rc}"
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}"), err
+        assert list(tmp_path.iterdir()) == [bad], "no output may be written"
 
     def test_solver_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         def boom(scenario, **kwargs):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hotpress import properties as pr
@@ -267,3 +267,58 @@ class TestMaterialParams:
         a = params.isotherm.hr_from_emc(t, h)
         b = params.isotherm.hr_from_emc(t, h)
         assert np.array_equal(a, b)
+
+
+# documented input ranges of the correlations
+TEMPERATURE = st.floats(0.0, 200.0)      # degC
+MOISTURE = st.floats(0.0, 30.0)          # %
+DENSITY = st.floats(300.0, 1000.0)       # kg/m3
+PRESSURE = st.floats(1e2, 1e7)           # N/m2
+
+
+def _ordered(pair, gap):
+    """The pair sorted, rejected unless its values differ by ``gap``."""
+    lo, hi = sorted(pair)
+    assume(hi - lo > gap)
+    return lo, hi
+
+
+class TestMonotoneCorrelations:
+    """Positivity and the sign of each slope over the documented ranges."""
+
+    @given(st.tuples(TEMPERATURE, TEMPERATURE),
+           st.tuples(MOISTURE, MOISTURE), DENSITY)
+    def test_conductivities_rise_with_t_and_h(self, t_pair, h_pair, rho_s):
+        (t1, t2), (h1, h2) = _ordered(t_pair, 1e-3), _ordered(h_pair, 1e-3)
+        for kappa in (lambda t, h: pr.thermal_conductivity_z(t, h, rho_s),
+                      lambda t, h: pr.thermal_conductivity_xy(
+                          pr.thermal_conductivity_z(t, h, rho_s))):
+            assert 0.0 < kappa(t1, h1) < kappa(t2, h1)
+            assert kappa(t1, h1) < kappa(t1, h2)
+
+    @given(st.tuples(TEMPERATURE, TEMPERATURE))
+    def test_latent_heat_falls_and_viscosity_positive(self, t_pair):
+        t1, t2 = _ordered(t_pair, 1e-3)
+        assert pr.latent_heat(t1) > pr.latent_heat(t2) > 0.0
+        assert pr.gas_viscosity(t1) > 0.0
+
+    @given(st.tuples(PRESSURE, PRESSURE), st.tuples(TEMPERATURE, TEMPERATURE))
+    def test_diffusivity_falls_with_p_rises_with_t(self, p_pair, t_pair):
+        (p1, p2), (t1, t2) = _ordered(p_pair, 1e-3), _ordered(t_pair, 1e-3)
+        d = pr.steam_air_diffusivity
+        assert d(p1, t1 + pr.KELVIN) > d(p2, t1 + pr.KELVIN) > 0.0
+        assert d(p1, t2 + pr.KELVIN) > d(p1, t1 + pr.KELVIN)
+
+    @given(st.tuples(TEMPERATURE, TEMPERATURE), st.tuples(MOISTURE, MOISTURE))
+    def test_specific_heat_rises_with_t_and_h(self, t_pair, h_pair):
+        (t1, t2), (h1, h2) = _ordered(t_pair, 1e-3), _ordered(h_pair, 1e-3)
+        cp = pr.specific_heat
+        assert 0.0 < cp(t1 + pr.KELVIN, h1 / 100.0) < cp(t2 + pr.KELVIN, h1 / 100.0)
+        assert cp(t1 + pr.KELVIN, h1 / 100.0) < cp(t1 + pr.KELVIN, h2 / 100.0)
+
+    @given(TEMPERATURE)
+    def test_saturation_slope_matches_centered_difference(self, t_c):
+        step = 1e-3
+        fd = (pr.saturated_vapor_pressure(t_c + step)
+              - pr.saturated_vapor_pressure(t_c - step)) / (2.0 * step)
+        assert pr.saturated_vapor_pressure_slope(t_c) == pytest.approx(fd, rel=1e-6)
