@@ -18,7 +18,7 @@ directory:
 
 Command-line flags override the corresponding solver knobs of the
 scenario document.  Exit codes: 0 success, 1 verification failure,
-2 usage error, 3 solver failure.
+2 usage error, 3 solver failure (out of memory included).
 """
 
 import argparse
@@ -147,6 +147,11 @@ def cmd_run(args):
         system, result = run_scenario(scenario)
     except HotPressError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print(f"solver failure: out of memory on a {scenario.n_r} x "
+              f"{scenario.n_z} mesh; reduce mesh.n_r and mesh.n_z",
+              file=sys.stderr)
         return 3
 
     if scenario.solver.t_end == 0.0:

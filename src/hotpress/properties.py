@@ -291,6 +291,7 @@ def porosity(rho, params):
 # Hailwood-Horrobin W, k, k1, k2 as quadratics c0 + c1 F + c2 F^2 in degF
 _HH_POLYNOMIALS = ((330.0, 0.452, 0.00415), (0.791, 4.63e-4, -8.44e-7),
                    (6.34, 7.75e-4, -9.35e-5), (1.09, 2.84e-2, -9.04e-5))
+_HH_T_RANGE = (0.0, 115.0)  # degC, the clamp applied to T before them
 
 
 def _surface(x, a, b):
@@ -323,7 +324,7 @@ class HailwoodHorrobinIsotherm:
     Uses the published Fahrenheit-polynomial coefficients for the
     monolayer/polylayer constants.  ``scale`` multiplies the whole surface
     (compressed fiber mats equilibrate slightly below solid wood);
-    temperatures are clamped to ``t_range`` because the published k1
+    temperatures are clamped to [0, 115] degC because the published k1
     polynomial changes sign above ~125 degC.
 
     The clamp is a kink: above it dRH/dT is zero, so d(rho_v)/dT keeps
@@ -332,7 +333,6 @@ class HailwoodHorrobinIsotherm:
     """
 
     scale: float = 1.0
-    t_range: tuple = (0.0, 115.0)  # degC
 
     def __post_init__(self):
         if not (np.isfinite(self.scale) and self.scale > 0.0):
@@ -342,10 +342,10 @@ class HailwoodHorrobinIsotherm:
     def _coefficients(self, t_c):
         """``(pref, k, a, b)`` of EMC = pref g(k RH/100, a, b) at T [degC],
         with pref = scale 1800/W, a = k1 and b = k1 k2, and their
-        T-derivatives [1/degC], which are zero outside ``t_range``."""
+        T-derivatives [1/degC], which are zero outside the clamp range."""
         t = np.asarray(t_c, dtype=float)
-        t_f = np.clip(t, *self.t_range) * 1.8 + 32.0
-        df_dt = 1.8 * ((t >= self.t_range[0]) & (t <= self.t_range[1]))
+        t_f = np.clip(t, *_HH_T_RANGE) * 1.8 + 32.0
+        df_dt = 1.8 * ((t >= _HH_T_RANGE[0]) & (t <= _HH_T_RANGE[1]))
         (w, k, k1, k2), (dw, dk, dk1, dk2) = zip(*(
             (c0 + c1 * t_f + c2 * t_f**2, df_dt * (c1 + 2.0 * c2 * t_f))
             for c0, c1, c2 in _HH_POLYNOMIALS))

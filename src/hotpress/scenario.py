@@ -15,19 +15,24 @@ exceptions are documented: ambient pressure defaults to one standard
 atmosphere, and the numerical knobs in :class:`SolverConfig` default to
 the values used throughout the test suite.
 
-The loader rejects a malformed field with its dotted name (for example
-``solver.dt``): every numeric key must be a number and every flag a
-boolean.
+One table, ``_FORMAT``, maps each YAML key to the field it holds and
+drives load, save and error messages.  A bad field is reported by its
+dotted key: a malformed one (every numeric key must be a number, every
+flag a boolean) as ``solver.dt must be a number``, and an out-of-range
+one, which the dataclass names by attribute (``t0``), as
+``initial.temperature must be above absolute zero``.
 """
 
 import warnings
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 import yaml
 
 from .assembly import PressSystem, pack_state
-from .errors import DomainError, ScenarioError
+from .errors import DomainError, HotPressError, ScenarioError
 from .mesh import build_graded_mesh
 from .properties import (
     HailwoodHorrobinIsotherm,
@@ -199,9 +204,8 @@ class Scenario:
         # a super-saturated ambient would make it negative.
         p_v_atm = self.hr_atm / 100.0 * saturated_vapor_pressure(self.t_atm)
         if p_v_atm >= self.p_atm:
-            raise ScenarioError(
-                "ambient vapor pressure "
-                f"({p_v_atm:.3g} N/m2) must stay below p_atm")
+            raise ScenarioError("p_atm must exceed the ambient vapor "
+                                f"pressure ({p_v_atm:.3g} N/m2)")
         object.__setattr__(self, "sealed_radius", bool(self.sealed_radius))
 
     @property
@@ -255,47 +259,113 @@ def humphrey_preset():
 # YAML load / save
 # ---------------------------------------------------------------------------
 
-_REQUIRED_SECTIONS = ("geometry", "mesh", "material", "schedule",
-                      "initial", "ambient")
-_OPTIONAL_SECTIONS = ("boundary", "solver")
-
-# material keys map 1:1 onto MaterialParams keyword arguments; the
-# sorption surface is configured through its scale factor instead.
-_MATERIAL_OPTIONAL = ("bulk_density", "kappa_anisotropy", "perm_anisotropy",
-                      "cp_vapor", "mm_air", "r_gas",
-                      "porosity_model", "rho_f", "rho_r", "y_r",
-                      "perm_table_path")
-# the material keys that hold text; every other one is a number
-_MATERIAL_TEXT = ("porosity_model", "perm_table_path")
-_SOLVER_KEYS = ("dt", "scheme", "t_end", "output_times", "newton_tol_rel",
-                "newton_tol_abs", "newton_max_iter", "fd_epsilon_rel",
-                "store_all")
-
-
-def _mapping(obj, where):
-    if not isinstance(obj, dict):
-        raise ScenarioError(f"{where} must be a mapping of fields")
-    return dict(obj)
-
-
-def _take(table, where, key, required=True, default=None):
-    if key in table:
-        return table.pop(key)
-    if required:
-        raise ScenarioError(f"missing required field {where}.{key}")
-    return default
-
-
-def _reject_unknown(table, where):
-    if table:
-        names = ", ".join(sorted(str(k) for k in table))
-        raise ScenarioError(f"unknown field(s) in {where}: {names}")
-
-
 def _number(value, where):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where} must be a number, got {value!r}")
     return float(value)
+
+
+def _flag(value, where):
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{where} must be a boolean")
+    return value
+
+
+def _text(value, where):
+    if not isinstance(value, str):
+        raise ScenarioError(f"{where} must be text, got {value!r}")
+    return value
+
+
+def _or_null(read):
+    """``read``, but a null stays None."""
+    return lambda value, where: None if value is None else read(value, where)
+
+
+def _times(value, where):
+    if not isinstance(value, list):
+        raise ScenarioError(f"{where} must be a list of times")
+    return tuple(_number(t, f"{where} entry") for t in value)
+
+
+def _schedule(value, where):
+    if not isinstance(value, list) or not value:
+        raise ScenarioError(f"{where} must be a non-empty list of [t, T] pairs")
+    times, temps = [], []
+    for i, pair in enumerate(value):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ScenarioError(f"{where}[{i}] must be a [t, T] pair")
+        times.append(_number(pair[0], f"{where}[{i}] time"))
+        temps.append(_number(pair[1], f"{where}[{i}] temperature"))
+    return PressSchedule(times=tuple(times), temperatures=tuple(temps))
+
+
+def _isotherm(value, where):
+    if value is None:  # null keeps the calibrated surface
+        return HailwoodHorrobinIsotherm.calibrated()
+    return HailwoodHorrobinIsotherm(scale=_number(value, where))
+
+
+def _same(value):
+    return value
+
+
+# the reader (YAML value, dotted key) -> field value and the writer
+# field value -> YAML value of each annotated field type
+_CODECS = {
+    float: (_number, _same), int: (_number, _same), bool: (_flag, _same),
+    float | None: (_or_null(_number), _same), str: (_text, _same),
+    str | None: (_or_null(_text), _same), tuple: (_times, list),
+    PressSchedule: (_schedule, lambda s: [list(p) for p in s.breakpoints]),
+    HailwoodHorrobinIsotherm: (_isotherm, lambda iso: iso.scale),
+}
+
+
+# one YAML key: the field ``name`` of ``owner`` it holds, its reader and
+# writer, and whether it is required (the field has no default)
+_Row = namedtuple("_Row", "owner name read write required")
+
+
+def _section(owner, *names, **renamed):
+    """YAML key -> _Row for fields of ``owner``.  Each of ``names`` is its
+    own key, and ``...`` stands for every field of ``owner`` in declaration
+    order; ``renamed`` maps a YAML key to its field."""
+    spec, hints = {f.name: f for f in fields(owner)}, get_type_hints(owner)
+    key_of = {name: key for key, name in renamed.items()}
+    chosen = spec if names == (...,) else [*names, *key_of]
+    return {key_of.get(name, name): _Row(
+        owner, name, *_CODECS[hints[name]],
+        spec[name].default is MISSING and spec[name].default_factory is MISSING)
+        for name in chosen}
+
+
+# The scenario format: section -> YAML key -> row.  A section is required
+# when one of its fields has no default.
+_FORMAT = {
+    "geometry": _section(Scenario, "r_ext", "half_thickness"),
+    "mesh": _section(Scenario, "n_r", "n_z", "grading_ratio"),
+    "material": _section(MaterialParams, ..., isotherm_scale="isotherm"),
+    "schedule": _section(Scenario, breakpoints="schedule"),
+    "initial": _section(Scenario, temperature="t0", moisture="h0",
+                        air_density="rho_a0"),
+    "ambient": _section(Scenario, temperature="t_atm",
+                        relative_humidity="hr_atm", pressure="p_atm"),
+    "boundary": _section(Scenario, "sealed_radius"),
+    "solver": _section(SolverConfig, ...),
+}
+# field name -> dotted key; no field name occurs in two classes
+_KEY_OF = {row.name: f"{section}.{key}"
+           for section, rows in _FORMAT.items() for key, row in rows.items()}
+_IGNORED = {"material.mm_water"}  # unused key of earlier files
+
+
+def _keyed(exc, dotted):
+    """``exc`` as a ScenarioError that starts with ``dotted``, which takes
+    the place of the field name a class's message starts with."""
+    message = str(exc)
+    if not message.startswith(dotted):
+        message = f"{dotted} {message.partition(' ')[2]}"
+    return ScenarioError(message)
 
 
 def load_scenario(text):
@@ -315,7 +385,7 @@ def load_scenario(text):
     ScenarioError
         On malformed YAML (with the offending line when available),
         missing or unknown fields, or any violated invariant; each
-        message names the field concerned.
+        message names the field concerned by its dotted key.
     """
     try:
         doc = yaml.safe_load(text)
@@ -323,122 +393,40 @@ def load_scenario(text):
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
         raise ScenarioError(f"config parse error{where}: {exc}") from exc
-    if doc is None:
-        raise ScenarioError(
-            "empty config; required sections: " + ", ".join(_REQUIRED_SECTIONS))
-    root = _mapping(doc, "config root")
-    missing = [s for s in _REQUIRED_SECTIONS if s not in root]
+    doc = {} if doc is None else doc
+    if not isinstance(doc, dict):
+        raise ScenarioError("config root must be a mapping of fields")
+    missing = [section for section, rows in _FORMAT.items() if section not in doc
+               and any(row.required for row in rows.values())]
     if missing:
         raise ScenarioError("missing required section(s): " + ", ".join(missing))
 
-    geometry = _mapping(root.pop("geometry"), "geometry")
-    r_ext = _number(_take(geometry, "geometry", "r_ext"), "geometry.r_ext")
-    half = _number(_take(geometry, "geometry", "half_thickness"),
-                   "geometry.half_thickness")
-    _reject_unknown(geometry, "geometry")
-
-    meshsec = _mapping(root.pop("mesh"), "mesh")
-    n_r = _number(_take(meshsec, "mesh", "n_r"), "mesh.n_r")
-    n_z = _number(_take(meshsec, "mesh", "n_z"), "mesh.n_z")
-    grading = _number(_take(meshsec, "mesh", "grading_ratio"),
-                      "mesh.grading_ratio")
-    _reject_unknown(meshsec, "mesh")
-
-    matsec = _mapping(root.pop("material"), "material")
-    mat_kwargs = {"rho_s": _number(_take(matsec, "material", "rho_s"),
-                                   "material.rho_s")}
-    iso_scale = matsec.pop("isotherm_scale", None)
-    matsec.pop("mm_water", None)  # unused key of earlier files, ignored
-    for key in _MATERIAL_OPTIONAL:
-        if key in matsec:
-            value = matsec.pop(key)
-            # a null bulk density means "equal to rho_s"
-            if key not in _MATERIAL_TEXT and not (
-                    key == "bulk_density" and value is None):
-                value = _number(value, f"material.{key}")
-            mat_kwargs[key] = value
-    _reject_unknown(matsec, "material")
-    if iso_scale is not None:
-        try:
-            mat_kwargs["isotherm"] = HailwoodHorrobinIsotherm(
-                scale=_number(iso_scale, "material.isotherm_scale"))
-        except DomainError as exc:  # the message starts with "scale"
-            raise ScenarioError(f"material.isotherm_{exc}") from exc
+    kwargs = {Scenario: {}, MaterialParams: {}, SolverConfig: {}}
+    unknown = [str(key) for key in doc if key not in _FORMAT]
+    for section, rows in _FORMAT.items():
+        table = doc.get(section, {})
+        if not isinstance(table, dict):
+            raise ScenarioError(f"{section} must be a mapping of fields")
+        for key, row in rows.items():
+            where = f"{section}.{key}"
+            if key in table:
+                try:
+                    kwargs[row.owner][row.name] = row.read(table.pop(key), where)
+                except HotPressError as exc:
+                    raise _keyed(exc, where) from exc
+            elif row.required:
+                raise ScenarioError(f"missing required field {where}")
+        unknown += [f"{section}.{key}" for key in table
+                    if f"{section}.{key}" not in _IGNORED]
+    if unknown:
+        raise ScenarioError("unknown field(s): " + ", ".join(sorted(unknown)))
     try:
-        material = MaterialParams(**mat_kwargs)
-    except DomainError as exc:
-        raise ScenarioError(f"material.{exc}") from exc
-
-    schedsec = _mapping(root.pop("schedule"), "schedule")
-    points = _take(schedsec, "schedule", "breakpoints")
-    _reject_unknown(schedsec, "schedule")
-    if not isinstance(points, list) or not points:
-        raise ScenarioError(
-            "schedule.breakpoints must be a non-empty list of [t, T] pairs")
-    times, temps = [], []
-    for i, pair in enumerate(points):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ScenarioError(
-                f"schedule.breakpoints[{i}] must be a [t, T] pair")
-        times.append(_number(pair[0], f"schedule.breakpoints[{i}] time"))
-        temps.append(_number(pair[1], f"schedule.breakpoints[{i}] temperature"))
-    schedule = PressSchedule(times=tuple(times), temperatures=tuple(temps))
-
-    initsec = _mapping(root.pop("initial"), "initial")
-    t0 = _number(_take(initsec, "initial", "temperature"),
-                 "initial.temperature")
-    h0 = _number(_take(initsec, "initial", "moisture"), "initial.moisture")
-    rho_a0 = _number(_take(initsec, "initial", "air_density"),
-                     "initial.air_density")
-    _reject_unknown(initsec, "initial")
-
-    ambsec = _mapping(root.pop("ambient"), "ambient")
-    t_atm = _number(_take(ambsec, "ambient", "temperature"),
-                    "ambient.temperature")
-    hr_atm = _number(_take(ambsec, "ambient", "relative_humidity"),
-                     "ambient.relative_humidity")
-    p_atm = _take(ambsec, "ambient", "pressure", required=False,
-                  default=101325.0)
-    p_atm = _number(p_atm, "ambient.pressure")
-    _reject_unknown(ambsec, "ambient")
-
-    sealed = False
-    if "boundary" in root:
-        bndsec = _mapping(root.pop("boundary"), "boundary")
-        sealed = _take(bndsec, "boundary", "sealed_radius", required=False,
-                       default=False)
-        _reject_unknown(bndsec, "boundary")
-        if not isinstance(sealed, bool):
-            raise ScenarioError("boundary.sealed_radius must be a boolean")
-
-    solver_kwargs = {}
-    if "solver" in root:
-        solsec = _mapping(root.pop("solver"), "solver")
-        for key in _SOLVER_KEYS:
-            if key not in solsec:
-                continue
-            value = solsec.pop(key)
-            where = f"solver.{key}"
-            if key == "output_times":
-                if not isinstance(value, list):
-                    raise ScenarioError(f"{where} must be a list of times")
-                value = tuple(_number(t, f"{where} entry") for t in value)
-            elif key == "store_all":
-                if not isinstance(value, bool):
-                    raise ScenarioError(f"{where} must be a boolean")
-            elif key != "scheme":
-                value = _number(value, where)
-            solver_kwargs[key] = value
-        _reject_unknown(solsec, "solver")
-    _reject_unknown(root, "config root")
-
-    return Scenario(
-        r_ext=r_ext, half_thickness=half, n_r=n_r, n_z=n_z,
-        grading_ratio=grading, material=material, schedule=schedule,
-        t0=t0, h0=h0, rho_a0=rho_a0, t_atm=t_atm, hr_atm=hr_atm,
-        p_atm=p_atm, sealed_radius=sealed,
-        solver=SolverConfig(**solver_kwargs),
-    )
+        return Scenario(material=MaterialParams(**kwargs[MaterialParams]),
+                        solver=SolverConfig(**kwargs[SolverConfig]),
+                        **kwargs[Scenario])
+    except HotPressError as exc:
+        head = str(exc).partition(" ")[0]
+        raise _keyed(exc, _KEY_OF.get(head, head)) from exc
 
 
 def save_scenario(scenario):
@@ -447,40 +435,11 @@ def save_scenario(scenario):
     Every field is written explicitly (including solver defaults), so
     the round trip ``load_scenario(save_scenario(s)) == s`` is exact.
     """
-    mat = scenario.material
-    doc = {
-        "geometry": {
-            "r_ext": scenario.r_ext,
-            "half_thickness": scenario.half_thickness,
-        },
-        "mesh": {
-            "n_r": scenario.n_r,
-            "n_z": scenario.n_z,
-            "grading_ratio": scenario.grading_ratio,
-        },
-        "material": {"rho_s": mat.rho_s,
-                     **{key: getattr(mat, key) for key in _MATERIAL_OPTIONAL},
-                     "isotherm_scale": mat.isotherm.scale},
-        "schedule": {
-            "breakpoints": [[t, temp] for t, temp in scenario.schedule.breakpoints],
-        },
-        "initial": {
-            "temperature": scenario.t0,
-            "moisture": scenario.h0,
-            "air_density": scenario.rho_a0,
-        },
-        "ambient": {
-            "temperature": scenario.t_atm,
-            "relative_humidity": scenario.hr_atm,
-            "pressure": scenario.p_atm,
-        },
-        "boundary": {
-            "sealed_radius": scenario.sealed_radius,
-        },
-        # the output_times tuple is written as a list, in its place
-        "solver": {**{key: getattr(scenario.solver, key) for key in _SOLVER_KEYS},
-                   "output_times": list(scenario.solver.output_times)},
-    }
+    owners = {Scenario: scenario, MaterialParams: scenario.material,
+              SolverConfig: scenario.solver}
+    doc = {section: {key: row.write(getattr(owners[row.owner], row.name))
+                     for key, row in rows.items()}
+           for section, rows in _FORMAT.items()}
     return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False)
 
 
@@ -567,13 +526,9 @@ def with_overrides(scenario, dt=None, t_end=None, scheme=None):
     Used by the command line, where flags take precedence over the
     scenario document.  ``None`` keeps the existing value.
     """
-    changes = {}
-    if dt is not None:
-        changes["dt"] = dt
-    if t_end is not None:
-        changes["t_end"] = t_end
-    if scheme is not None:
-        changes["scheme"] = scheme
+    changes = {name: value for name, value in
+               dict(dt=dt, t_end=t_end, scheme=scheme).items()
+               if value is not None}
     if not changes:
         return scenario
     return replace(scenario, solver=replace(scenario.solver, **changes))

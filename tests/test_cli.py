@@ -237,6 +237,54 @@ class TestRunErrors:
         assert err.startswith(f"error: {field}"), err
         assert list(tmp_path.iterdir()) == [bad], "no output may be written"
 
+    @pytest.mark.parametrize("section, changes, key", [
+        ("initial", {"temperature": -400.0}, "initial.temperature"),
+        ("initial", {"air_density": -1.0}, "initial.air_density"),
+        ("ambient", {"relative_humidity": 130.0}, "ambient.relative_humidity"),
+        ("ambient", {"pressure": -5.0}, "ambient.pressure"),
+        ("ambient", {"temperature": float("inf")}, "ambient.temperature"),
+        ("geometry", {"r_ext": -1.0}, "geometry.r_ext"),
+        ("mesh", {"n_r": 0}, "mesh.n_r"),
+        ("mesh", {"grading_ratio": 0}, "mesh.grading_ratio"),
+        ("solver", {"dt": 0}, "solver.dt"),
+        ("solver", {"newton_tol_rel": 2}, "solver.newton_tol_rel"),
+        ("solver", {"output_times": [0.0]}, "solver.output_times"),
+        ("solver", {"scheme": "leapfrog"}, "solver.scheme"),
+        ("schedule", {"breakpoints": [[0, 30], [0, 40]]},
+         "schedule.breakpoints"),
+        # saturated air at 100 degC holds about 1 atm of vapor, more than
+        # a 0.5 atm ambient can carry
+        ("ambient", {"temperature": 100.0, "relative_humidity": 100.0,
+                     "pressure": 50000.0}, "ambient.pressure"),
+    ])
+    def test_out_of_range_field_names_dotted_key(self, tmp_path,
+                                                 scenario_file, capsys,
+                                                 section, changes, key):
+        doc = yaml.safe_load(scenario_file.read_text())
+        doc[section].update(changes)
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(doc))
+        rc = cli.main(["run", "--scenario", str(bad), "--out", str(tmp_path)])
+        assert rc == 2, f"an out-of-range value is a usage error, got {rc}"
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} "), err
+        assert list(tmp_path.iterdir()) == [bad], "no output may be written"
+
+    def test_mesh_too_large_for_memory_exits_3(self, tmp_path, scenario_file,
+                                               capsys):
+        # a 1e15-cell line needs 8 PB, beyond any 64-bit user address
+        # space, so numpy refuses the array at once
+        doc = yaml.safe_load(scenario_file.read_text())
+        doc["mesh"]["n_r"] = 1.0e15
+        big = tmp_path / "big.yaml"
+        big.write_text(yaml.safe_dump(doc))
+        rc = cli.main(["run", "--scenario", str(big), "--out", str(tmp_path)])
+        assert rc == 3, f"running out of memory is a solver failure, got {rc}"
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: out of memory"), err
+        assert "mesh.n_r" in err and "mesh.n_z" in err, err
+        assert list(tmp_path.iterdir()) == [big], "no output may be written"
+
     def test_solver_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         def boom(scenario, **kwargs):
             raise NewtonError("no convergence (synthetic)")

@@ -1,7 +1,10 @@
 """Tests for scenario configuration, presets and serialization."""
 
 import warnings
-from dataclasses import replace
+from collections import Counter
+from dataclasses import fields, replace
+from importlib import resources
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,8 +14,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hotpress.errors import DomainError, ScenarioError
-from hotpress.properties import MaterialParams
+from hotpress.properties import HailwoodHorrobinIsotherm, MaterialParams
 from hotpress.scenario import (
+    _FORMAT,
     PressSchedule,
     Scenario,
     SolverConfig,
@@ -180,6 +184,51 @@ class TestHumphreyPreset:
         assert humphrey_preset().sealed_radius is False
 
 
+_PACKAGED_TABLE = resources.files("hotpress") / "data/permeability_table.txt"
+
+
+@st.composite
+def _scenarios(draw):
+    """Scenarios with every field the YAML format holds drawn at random."""
+    material = draw(st.builds(
+        MaterialParams, rho_s=st.floats(200.0, 1200.0),
+        bulk_density=st.none() | st.floats(200.0, 1200.0),
+        kappa_anisotropy=st.floats(0.1, 100.0),
+        perm_anisotropy=st.floats(0.1, 100.0),
+        cp_vapor=st.floats(500.0, 5000.0), mm_air=st.floats(1.0, 100.0),
+        r_gas=st.floats(1e3, 1e4),
+        porosity_model=st.sampled_from(("suzuki", "simple")),
+        rho_f=st.floats(500.0, 2000.0), rho_r=st.floats(500.0, 2000.0),
+        y_r=st.floats(0.0, 0.5),
+        perm_table_path=st.sampled_from((None, str(_PACKAGED_TABLE))),
+        isotherm=st.builds(HailwoodHorrobinIsotherm,
+                           scale=st.floats(0.1, 10.0))))
+    assume(_has_pores(material))  # a scenario rejects the others
+    points = sorted(draw(st.lists(
+        st.tuples(st.floats(0.0, 1e4), st.floats(-273.0, 1e3)),
+        min_size=1, max_size=4, unique_by=lambda p: p[0])))
+    solver = draw(st.builds(
+        SolverConfig, dt=st.floats(1e-6, 1e4), t_end=st.floats(0.0, 1e5),
+        output_times=st.lists(st.floats(1e-6, 1e5), max_size=5).map(tuple),
+        newton_tol_rel=st.floats(1e-16, 0.5),
+        newton_tol_abs=st.floats(1e-300, 0.5),
+        newton_max_iter=st.integers(1, 100),
+        fd_epsilon_rel=st.floats(1e-12, 0.5), store_all=st.booleans(),
+        scheme=st.sampled_from(("implicit", "explicit"))))
+    # below 90 degC saturated air holds under 0.71 atm of vapor, so no
+    # drawn ambient is super-saturated
+    return draw(st.builds(
+        Scenario, r_ext=st.floats(1e-4, 10.0),
+        half_thickness=st.floats(1e-4, 1.0), n_r=st.integers(1, 1000),
+        n_z=st.integers(1, 1000), grading_ratio=st.floats(0.01, 100.0),
+        material=st.just(material),
+        schedule=st.just(PressSchedule(*zip(*points))),
+        t0=st.floats(-273.0, 1e3), h0=st.floats(0.0, 100.0),
+        rho_a0=st.floats(0.0, 10.0), t_atm=st.floats(-50.0, 90.0),
+        hr_atm=st.floats(0.0, 100.0), p_atm=st.floats(1e5, 1e6),
+        sealed_radius=st.booleans(), solver=st.just(solver)))
+
+
 class TestSerialization:
     def test_round_trip_is_lossless(self):
         sc = humphrey_preset()
@@ -228,7 +277,7 @@ class TestSerialization:
     def test_negative_moisture_in_document(self):
         text = save_scenario(humphrey_preset()).replace(
             "  moisture: 11.0", "  moisture: -1.0")
-        with pytest.raises(ScenarioError, match="h0"):
+        with pytest.raises(ScenarioError, match=r"^initial\.moisture "):
             load_scenario(text)
 
     def test_parse_error_reports_line(self):
@@ -272,35 +321,34 @@ class TestSerialization:
         assert again.material.isotherm.scale == sc.material.isotherm.scale
 
     @settings(deadline=None, max_examples=60)
-    @given(
-        dt=st.floats(1e-6, 1e4), t_end=st.floats(0.0, 1e5),
-        output_times=st.lists(st.floats(1e-6, 1e5), max_size=5),
-        tol_rel=st.floats(1e-16, 0.5), tol_abs=st.floats(1e-300, 0.5),
-        max_iter=st.integers(1, 100), fd_epsilon_rel=st.floats(1e-12, 0.5),
-        store_all=st.booleans(), scheme=st.sampled_from(("implicit",
-                                                         "explicit")),
-        rho_s=st.floats(200.0, 1200.0),
-        bulk_density=st.none() | st.floats(200.0, 1200.0),
-        kappa_anisotropy=st.floats(0.1, 100.0),
-        porosity_model=st.sampled_from(("suzuki", "simple")))
-    def test_round_trip_property(self, dt, t_end, output_times, tol_rel,
-                                 tol_abs, max_iter, fd_epsilon_rel, store_all,
-                                 scheme, rho_s, bulk_density,
-                                 kappa_anisotropy, porosity_model):
-        material = MaterialParams(rho_s=rho_s, bulk_density=bulk_density,
-                                  kappa_anisotropy=kappa_anisotropy,
-                                  porosity_model=porosity_model)
-        assume(_has_pores(material))  # a scenario rejects the others
-        sc = replace(
-            humphrey_preset(), material=material,
-            solver=SolverConfig(dt=dt, t_end=t_end,
-                                output_times=tuple(output_times),
-                                newton_tol_rel=tol_rel,
-                                newton_tol_abs=tol_abs,
-                                newton_max_iter=max_iter,
-                                fd_epsilon_rel=fd_epsilon_rel,
-                                store_all=store_all, scheme=scheme))
+    @given(sc=_scenarios())
+    def test_round_trip_property(self, sc):
         assert load_scenario(save_scenario(sc)) == sc
+
+    def test_every_field_has_one_row(self):
+        held = Counter((row.owner.__name__, row.name)
+                       for rows in _FORMAT.values() for row in rows.values())
+        # Scenario.material and Scenario.solver are sections, not rows
+        expected = Counter(
+            (cls.__name__, f.name)
+            for cls in (Scenario, MaterialParams, SolverConfig)
+            for f in fields(cls) if (cls, f.name) not in
+            ((Scenario, "material"), (Scenario, "solver")))
+        assert held == expected, \
+            f"rows and dataclass fields differ: {held ^ expected}"
+        names = Counter(name for _, name in held)
+        assert max(names.values()) == 1, \
+            "an error names its field only, so no two classes may share one"
+        assert [f.name for f in fields(HailwoodHorrobinIsotherm)] == \
+            ["scale"], "material.isotherm_scale holds only the scale"
+
+    def test_readme_example_is_the_preset(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        example = readme.split("```yaml\n")[1].split("```")[0]
+        preset = humphrey_preset()
+        assert load_scenario(example) == replace(
+            preset, solver=replace(preset.solver, output_times=())), \
+            "the README example should be the humphrey preset"
 
 
 def _has_pores(material):
