@@ -54,8 +54,10 @@ frozen-coefficient systems are subclasses in ``verification``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.sparse import bsr_matrix, csc_matrix, csr_matrix
 
 from . import mesh as hmesh
 from . import properties as props
@@ -104,6 +106,65 @@ def fd_step(u, eps_rel):
     """Finite-difference step of every dof of ``u``: relative to the value,
     bottoming out at ``STATE_SCALE`` near zero."""
     return eps_rel * np.maximum(np.abs(u), np.tile(STATE_SCALE, u.size // N_VARS))
+
+
+class NodalOrder:
+    """A sparsity pattern seen as dense nodal blocks, and its layout in a
+    node order.
+
+    Unknown ``b*k + i`` is variable i of node k, with ``b = n //
+    len(node_order)`` variables per node.  The pattern is the canonical
+    CSR structure (``indptr``, ``indices``) of the matrices it serves;
+    every node's diagonal block belongs to it.  ``blocks(a)`` gathers such
+    a matrix into its nodal blocks, ``(n_blocks, b, b)`` with zeros where
+    the pattern has no entry; ``block_row`` is the node of each block row
+    and ``diag`` the index of each node's diagonal block.  ``csc(blocks)``
+    lays blocks out as the CSC matrix ``P A P^T``, where ``(P x)[m] =
+    x[dofs[m]]`` and ``dofs`` keeps the unknowns of a node together in
+    ``node_order``.  The maps are built once, by sorting.
+    """
+
+    def __init__(self, indptr, indices, node_order):
+        n, n_nodes = len(indptr) - 1, len(node_order)
+        b = n // n_nodes
+        if b * n_nodes != n:
+            raise ValueError(f"{n} unknowns do not split over {n_nodes} nodes")
+        self.indptr, self.indices = indptr, indices
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        keys = np.concatenate([(rows // b) * n_nodes + indices // b,
+                               np.arange(n_nodes) * (n_nodes + 1)])
+        pairs, pair_of = np.unique(keys, return_inverse=True)
+        self.slots = (pair_of[:len(rows)] * b + rows % b) * b + indices % b
+        self.block_row = pairs // n_nodes
+        self.diag = pair_of[len(rows):]
+        self.dofs = (b * np.asarray(node_order)[:, None] + np.arange(b)).ravel()
+
+        rank = np.empty(n_nodes, dtype=int)
+        rank[node_order] = np.arange(n_nodes)
+        i, j = np.indices((b, b))
+        new_rows = (b * rank[self.block_row][:, None, None] + i).ravel()
+        new_cols = (b * rank[pairs % n_nodes][:, None, None] + j).ravel()
+        self.csc_order = np.argsort(new_cols * n + new_rows)
+        self.csc_indices = new_rows[self.csc_order].astype(np.int32)
+        self.csc_indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(new_cols, minlength=n)))
+        ).astype(np.int32)
+        self.shape = (n, n)
+        self.block = b
+
+    def blocks(self, a):
+        """Nodal blocks of the CSR matrix ``a``, which has this pattern."""
+        if not (np.array_equal(a.indptr, self.indptr)
+                and np.array_equal(a.indices, self.indices)):
+            raise ValueError("matrix does not have the pattern of this order")
+        out = np.zeros((len(self.block_row), self.block, self.block))
+        out.ravel()[self.slots] = a.data
+        return out
+
+    def csc(self, blocks):
+        """``P A P^T`` in CSC form, from the nodal blocks of A."""
+        return csc_matrix((blocks.ravel()[self.csc_order], self.csc_indices,
+                           self.csc_indptr), shape=self.shape)
 
 
 def validate_state(u, h_tol=1e-9, a_tol=None):
@@ -355,6 +416,22 @@ class PressSystem:
         self.elem_dofs = (
             N_VARS * mesh.elements[:, :, None] + np.arange(N_VARS)[None, None, :]
         ).reshape(-1, 4 * N_VARS)
+
+    @cached_property
+    def newton_order(self):
+        """The :class:`NodalOrder` of the Newton matrix: every dof couples
+        to the dofs of the nodes it shares an element with, and the nodes
+        go in the mesh's nested-dissection order.  Built at the first
+        linear solve, once per system."""
+        elements, n_nodes = self.mesh.elements, self.mesh.n_nodes
+        nodes = csr_matrix((np.ones(elements.size * 4), (
+            np.repeat(elements, 4, axis=1).ravel(), np.tile(elements, 4).ravel()
+        )), shape=(n_nodes, n_nodes))
+        pattern = bsr_matrix(
+            (np.ones((nodes.nnz, N_VARS, N_VARS)), nodes.indices, nodes.indptr),
+            shape=(self.n_dofs, self.n_dofs)).tocsr()
+        return NodalOrder(pattern.indptr, pattern.indices,
+                          self.mesh.dissection_order())
 
     # -- constraint values ---------------------------------------------------
 

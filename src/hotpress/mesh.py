@@ -83,6 +83,29 @@ class Mesh:
             return np.array([self.node_index(ir, k) for k in range(self.n_z + 1)])
         return np.array([self.node_index(k, iz) for k in range(self.n_r + 1)])
 
+    def dissection_order(self):
+        """Nested-dissection order of the nodes (George 1973).
+
+        The node grid is cut in two by its middle mesh line across the
+        longer side, each half is ordered the same way, and the separating
+        line comes last.  Eliminated in this order, a matrix that couples
+        the nodes of each element fills in only among the nodes of one
+        part and the separators around it.
+        """
+        def dissect(grid):
+            if grid.size <= 1:
+                return [grid.ravel()]
+            rows, cols = grid.shape
+            if cols >= rows:
+                mid = cols // 2
+                return (dissect(grid[:, :mid]) + dissect(grid[:, mid + 1:])
+                        + [grid[:, mid]])
+            mid = rows // 2
+            return dissect(grid[:mid]) + dissect(grid[mid + 1:]) + [grid[mid]]
+
+        grid = np.arange(self.n_nodes).reshape(self.n_z + 1, self.n_r + 1)
+        return np.concatenate(dissect(grid))
+
 
 def build_graded_mesh(r_ext, half_thickness, n_r, n_z, grading_ratio=4.0):
     """Build the press cross-section mesh.

@@ -8,10 +8,21 @@ by Newton iteration with a finite-difference Jacobian spliced from four
 nodal constitutive states: twelve perturbed element-residual evaluations
 (one per local dof) plus the base, scattered into one sparse matrix.  At
 dt = inf the rate (v - u_n)/dt and its perturbation vanish, so the same
-Newton loop solves the steady problem ``R_spatial(v) = 0``.  The explicit scheme advances the
-closed-form lumped rates and then re-assigns the constrained values.  Both
-schemes integrate the same semi-discrete system, so their trajectories
-agree to second order in dt.
+Newton loop solves the steady problem ``R_spatial(v) = 0``.
+
+Each Newton matrix J is left-scaled by the inverse of its 3x3 nodal
+diagonal blocks D (one batched inverse), which makes its diagonal 1, and
+``P D^-1 J P^T`` is factored by SuperLU in the nested-dissection order P
+of ``Mesh.dissection_order`` with the pivot threshold ``PIVOT_THRESH``.
+Unscaled, the Jacobian has diagonal entries down to 2e-7 of their
+column's largest, and SuperLU's partial pivoting leaves any
+fill-reducing order; scaled, it keeps this one, and the LU fill of a
+60 x 60 mesh is 1.6M entries against 4.0M with COLAMD on J.  The solution
+is refined against the unscaled J.
+
+The explicit scheme advances the closed-form lumped rates and then
+re-assigns the constrained values.  Both schemes integrate the same
+semi-discrete system, so their trajectories agree to second order in dt.
 
 :class:`SolverConfig` is the one solver configuration: ``run_transient``,
 ``implicit_step`` and ``newton_solve`` read their step, horizon, scheme,
@@ -28,7 +39,7 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
-from .assembly import N_VARS, fd_step, validate_state
+from .assembly import N_VARS, NodalOrder, fd_step, validate_state
 from .errors import HotPressError, LinearSolveError, NewtonError, \
     ScenarioError
 
@@ -38,6 +49,10 @@ MAX_HALVINGS = 5
 # residual, or after this many back-substitutions
 REFINE_TOL = 1e-12
 MAX_REFINE = 5
+# SuperLU's diagonal pivot threshold: the diagonal of each scaled Newton
+# matrix is 1, and a pivot at least this fraction of its column's largest
+# entry keeps the nested-dissection order (see linear_solve)
+PIVOT_THRESH = 0.01
 # accepted states may undershoot zero air density by this much [kg/m3];
 # bounds the dip of the under-resolved rim layer without letting a
 # diverging run through (see validate_state)
@@ -180,23 +195,61 @@ def fd_jacobian(system, u, t, dt, u_prev, eps_rel=1e-7):
     ).tocsr()
 
 
-def linear_solve(a, b):
-    """Direct sparse solve with iterative refinement.
+def linear_solve(a, b, order=None):
+    """Direct sparse solve of ``a x = b`` in a nodal order, with iterative
+    refinement.
 
-    Refines ``x`` until the relative linear residual drops below
-    ``REFINE_TOL`` (a handful of cheap back-substitutions), so the Newton
-    updates are not limited by factorization roundoff.
+    ``a`` is left-scaled by the inverse of its nodal diagonal blocks,
+    ``D^-1 a``, so every diagonal entry is 1, and factored as
+    ``P D^-1 a P^T`` in the nested-dissection order ``P`` of ``order``
+    with no column permutation of its own.  On the unit diagonal a small
+    pivot threshold, ``PIVOT_THRESH``, keeps that order; without the
+    scaling, diagonal entries down to 2e-7 of their column send SuperLU's
+    partial pivoting off any fill-reducing order.  ``x`` is then refined
+    against the unscaled ``a`` until the relative linear residual drops
+    below ``REFINE_TOL`` (a handful of cheap back-substitutions), so the
+    Newton updates are not limited by factorization roundoff.
+
+    Parameters
+    ----------
+    a : sparse matrix
+        CSR, with the pattern of ``order``.
+    b : ndarray
+    order : NodalOrder, optional
+        Pattern, nodal blocks and node order of ``a``, as
+        ``PressSystem.newton_order`` gives them.  By default every unknown
+        is its own node, in natural order.
 
     Raises
     ------
     LinearSolveError
-        If factorization fails or produces non-finite values.
+        If ``a`` has a non-finite entry or a singular nodal block, or if
+        factorization fails or produces non-finite values.
     """
+    a = a.tocsr()
+    if order is None:
+        a.sum_duplicates()
+        order = NodalOrder(a.indptr, a.indices, np.arange(a.shape[0]))
+    if not np.all(np.isfinite(a.data)):
+        raise LinearSolveError("matrix has non-finite entries")
+    blocks = order.blocks(a)
     try:
-        lu = splu(a.tocsc())
+        dinv = np.linalg.inv(blocks[order.diag])
+    except np.linalg.LinAlgError as exc:
+        raise LinearSolveError(f"singular nodal block: {exc}") from exc
+    scaled = order.csc(dinv[order.block_row] @ blocks)
+    try:
+        lu = splu(scaled, permc_spec="NATURAL", diag_pivot_thresh=PIVOT_THRESH)
     except RuntimeError as exc:
         raise LinearSolveError(f"sparse factorization failed: {exc}") from exc
-    x = lu.solve(b)
+
+    def solve(r):
+        y = lu.solve((dinv @ r.reshape(len(dinv), -1, 1)).ravel()[order.dofs])
+        x = np.empty_like(y)
+        x[order.dofs] = y
+        return x
+
+    x = solve(b)
     if not np.all(np.isfinite(x)):
         raise LinearSolveError("linear solve produced non-finite values")
     b_norm = float(np.linalg.norm(b))
@@ -206,7 +259,7 @@ def linear_solve(a, b):
         r = b - a @ x
         if float(np.linalg.norm(r)) <= REFINE_TOL * b_norm:
             break
-        dx = lu.solve(r)
+        dx = solve(r)
         if not np.all(np.isfinite(dx)):
             break
         x = x + dx
@@ -253,7 +306,7 @@ def newton_solve(system, u_prev, dt, t_new, cfg):
         return v, 0, r0
     for it in range(1, cfg.newton_max_iter + 1):
         jac = fd_jacobian(system, v, t_new, dt, u_prev, cfg.fd_epsilon_rel)
-        dx = linear_solve(jac, -g)
+        dx = linear_solve(jac, -g, system.newton_order)
         v_new = v + dx
         g_new, r_new = eval_residual(v_new)
         if r_new > history[-1]:

@@ -23,6 +23,8 @@ from hotpress.verification import (
     supg_suite,
 )
 
+pytestmark = pytest.mark.slow
+
 
 def _report(name, ok, detail):
     line = f"{'PASS' if ok else 'FAIL'} {name}: {detail}"

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hotpress import mesh as hm
 from hotpress.errors import MeshError
@@ -78,6 +80,25 @@ class TestBuildMesh:
     def test_invalid_extent(self):
         with pytest.raises(MeshError):
             hm.build_graded_mesh(-1.0, 0.5, 4, 4)
+
+
+class TestDissectionOrder:
+    @settings(deadline=None)
+    @given(n_r=st.integers(1, 40), n_z=st.integers(1, 40))
+    def test_permutation_with_a_mesh_line_last(self, n_r, n_z):
+        m = hm.build_graded_mesh(1.0, 1.0, n_r, n_z, 1.0)
+        order = m.dissection_order()
+        assert np.array_equal(np.sort(order), np.arange(m.n_nodes))
+        if n_r >= n_z:
+            last = order[-(n_z + 1):]
+            ir = last[0] % (n_r + 1)
+            assert np.array_equal(last, m.structured_line(ir=ir))
+            # the line separates the nodes ordered before it into the two
+            # sides, left side first
+            ir_before = order[:-(n_z + 1)] % (n_r + 1)
+            n_left = ir * (n_z + 1)
+            assert np.all(ir_before[:n_left] < ir)
+            assert np.all(ir_before[n_left:] > ir)
 
 
 class TestReferenceElement:

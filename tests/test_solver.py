@@ -9,6 +9,7 @@ from hotpress import mesh as hm
 from hotpress import solver as slv
 from hotpress.errors import LinearSolveError, NewtonError, StepError
 from hotpress.properties import HailwoodHorrobinIsotherm, MaterialParams
+from hotpress.scenario import build_system, humphrey_preset, initial_state
 from hotpress.solver import SolverConfig
 from hotpress.verification import FrozenCoefficientSystem
 
@@ -282,6 +283,73 @@ class TestLinearSolve:
     def test_zero_rhs(self):
         a = sparse.csr_matrix(np.eye(3))
         assert np.array_equal(slv.linear_solve(a, np.zeros(3)), np.zeros(3))
+
+    def test_zero_nodal_block_raises(self, system, u_smooth):
+        u, t = u_smooth
+        jac = slv.fd_jacobian(system, u, t, dt=1.0, u_prev=u)
+        first = 3 * 40  # the dofs of node 40
+        jac[first:first + 3, first:first + 3] = 0.0  # they stay in the pattern
+        with pytest.raises(LinearSolveError, match="singular nodal block"):
+            slv.linear_solve(jac, np.ones(system.n_dofs), system.newton_order)
+
+    def test_nan_entry_raises(self, system, u_smooth):
+        u, t = u_smooth
+        jac = slv.fd_jacobian(system, u, t, dt=1.0, u_prev=u)
+        jac.data[jac.nnz // 2] = np.nan
+        with pytest.raises(LinearSolveError, match="non-finite"):
+            slv.linear_solve(jac, np.ones(system.n_dofs), system.newton_order)
+
+    def test_singular_matrix_with_regular_blocks_raises(self):
+        """Both nodal blocks are the identity; the matrix is singular."""
+        a = sparse.csr_matrix(np.block([[np.eye(3), np.eye(3)],
+                                        [np.eye(3), np.eye(3)]]))
+        order = asm.NodalOrder(a.indptr, a.indices, np.array([1, 0]))
+        with pytest.raises(LinearSolveError, match="factorization failed"):
+            slv.linear_solve(a, np.ones(6), order)
+
+    def test_matrix_of_another_pattern_is_refused(self, system):
+        a = sparse.csr_matrix(np.eye(system.n_dofs))
+        with pytest.raises(ValueError, match="pattern"):
+            slv.linear_solve(a, np.ones(system.n_dofs), system.newton_order)
+
+
+class TestFillGuard:
+    """The scaled, nested-dissection factorization of the preset's Newton
+    matrix.  COLAMD on the unscaled matrix fills 195k-214k entries and the
+    natural order 169k.  Unscaled, SuperLU interchanges 67 rows at t = 0
+    and more as the run goes on, and fill grows with them."""
+
+    @pytest.fixture(scope="class")
+    def preset(self):
+        sc = humphrey_preset()
+        system = build_system(sc)
+        return system, initial_state(sc, system.mesh)
+
+    @pytest.mark.parametrize("steps", [0, 1])
+    def test_fill_and_accuracy(self, preset, steps, monkeypatch):
+        system, u = preset
+        t = 0.0
+        for _ in range(steps):
+            u, t = slv.implicit_step(system, u, t, 1.0).u, t + 1.0
+        jac = slv.fd_jacobian(system, u, t + 1.0, dt=1.0, u_prev=u)
+        b = np.random.default_rng(7).standard_normal(system.n_dofs)
+        factors = []
+        factor = slv.splu
+
+        def recorded(*args, **kwargs):
+            factors.append(factor(*args, **kwargs))
+            return factors[-1]
+
+        monkeypatch.setattr(slv, "splu", recorded)
+        x = slv.linear_solve(jac, b, system.newton_order)
+        lu = factors[0]
+        fill = lu.L.nnz + lu.U.nnz
+        assert fill <= 150_000, f"LU fill {fill}"
+        swaps = np.count_nonzero(lu.perm_r != np.arange(system.n_dofs))
+        assert swaps == 0, f"{swaps} row interchanges left the order"
+        dense = np.linalg.solve(jac.toarray(), b)
+        err = np.linalg.norm(x - dense) / np.linalg.norm(dense)
+        assert err <= 1e-10, f"relative error {err:.1e}"
 
 
 class TestRunTransient:
