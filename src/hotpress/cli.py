@@ -180,6 +180,10 @@ def cmd_verify(args):
     except HotPressError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print(f"solver failure: out of memory in the {args.suite} suite",
+              file=sys.stderr)
+        return 3
     for check in checks:
         print(check.line())
     return 0 if all(check.passed for check in checks) else 1

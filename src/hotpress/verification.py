@@ -47,7 +47,8 @@ from .properties import (
     vertical_permeability,
 )
 from .scenario import humphrey_preset, run_scenario
-from .solver import SolverConfig, fd_jacobian, newton_solve
+from .solver import LaggedJacobian, SolverConfig, fd_jacobian, \
+    newton_solve
 
 __all__ = [
     "CheckResult",
@@ -391,8 +392,9 @@ def mms_temporal_study(dts=(1.0, 0.5, 0.25, 0.125, 0.0625), n=8, t_final=8.0):
     for dt in dts:
         steps = int(round(t_final / dt))
         u = sol.state(system.mesh, 0.0)
+        lagged = LaggedJacobian()
         for k in range(steps):
-            u, _, _ = newton_solve(system, u, dt, (k + 1) * dt, cfg)
+            u, _, _ = newton_solve(system, u, dt, (k + 1) * dt, cfg, lagged)
         finals.append(u)
     diffs = [_scaled_error_norm(system, finals[i] - finals[i + 1])
              for i in range(len(finals) - 1)]

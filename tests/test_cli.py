@@ -353,6 +353,16 @@ class TestVerifyCommand:
         assert rc == 3
         assert "solver failure" in capsys.readouterr().err
 
+    def test_suite_out_of_memory_exits_3(self, monkeypatch, capsys):
+        def boom(name):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "run_suite", boom)
+        rc = cli.main(["verify", "conservation"])
+        assert rc == 3, f"running out of memory is a solver failure, got {rc}"
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: out of memory"), err
+
 
 class TestArgumentParsing:
     def test_no_subcommand_exits_2(self, capsys):

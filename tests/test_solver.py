@@ -1,5 +1,7 @@
 """Tests for time integration, Newton solution and the Jacobian."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -44,6 +46,14 @@ def u_start(system):
     u = asm.pack_state(np.full(n, 30.0), np.full(n, 11.0), np.full(n, 1e-6))
     system.apply_dirichlet(u, 0.0)
     return u
+
+
+@pytest.fixture(scope="module")
+def preset():
+    """The shipped case at t = 0: its system and initial state."""
+    sc = humphrey_preset()
+    system = build_system(sc)
+    return system, initial_state(sc, system.mesh)
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +144,8 @@ class TestNewton:
         step = slv.implicit_step(system, u_start, 0.0, 256.0)
         assert step.halvings >= 1
         assert step.dt_used == pytest.approx(256.0 / 2**step.halvings)
+        # every attempt, failed or not, builds at least one Jacobian
+        assert step.jacobian_builds >= step.halvings + 1
 
     def test_exhausted_ladder_raises(self, system, u_start):
         with pytest.raises(NewtonError):
@@ -146,6 +158,85 @@ class TestNewton:
                              SolverConfig(newton_max_iter=1))
         assert excinfo.value.residual_history is not None
         assert len(excinfo.value.residual_history) >= 1
+
+
+class TestJacobianReuse:
+    """Newton solves keep a factored Jacobian while it contracts."""
+
+    @pytest.fixture(scope="class")
+    def preset_run(self, preset):
+        system, u0 = preset
+        cfg = replace(humphrey_preset().solver, t_end=10.0, output_times=(),
+                      store_all=True)
+        return system, cfg, slv.run_transient(system, u0, cfg)
+
+    def test_preset_builds_fewer_jacobians_and_meets_every_target(
+            self, preset_run):
+        """Over the preset's first 10 s a Jacobian per iteration would be
+        33 builds; the lagged factor serves most of them."""
+        system, cfg, res = preset_run
+        assert len(res.jacobian_builds) == len(res.dt_used) == 10
+        assert res.halvings == [0] * 10
+        assert sum(res.jacobian_builds) <= 20, res.jacobian_builds
+        finals = [float(line.rsplit("resid=", 1)[1]) for line in res.log
+                  if line.startswith("step ")]
+        for k, final in enumerate(finals):
+            u, t_new = res.states[k], res.times[k + 1]
+            r0 = slv.rms(system.residual(u, np.zeros_like(u), t_new))
+            target = max(cfg.newton_tol_rel * r0, cfg.newton_tol_abs)
+            assert final <= target, f"step {k + 1}: {final:.2e} > {target:.2e}"
+
+    def test_stale_factor_reaches_the_same_target(self, preset, preset_run):
+        """A factor built at t = 0 serves the solve at t = 10 s: it costs
+        iterations or a rebuild, never accuracy."""
+        system, u0 = preset
+        _, cfg, res = preset_run
+        lagged = slv.LaggedJacobian(slv.LUFactor(
+            slv.fd_jacobian(system, u0, 1.0, 1.0, u0), system.newton_order),
+            dt=1.0)
+        u = res.states[10]
+        v, iters, r_final = slv.newton_solve(system, u, 1.0, 11.0, cfg, lagged)
+        r0 = slv.rms(system.residual(u, np.zeros_like(u), 11.0))
+        assert r_final <= max(cfg.newton_tol_rel * r0, cfg.newton_tol_abs)
+        assert 1 <= iters <= cfg.newton_max_iter
+        fresh, _, _ = slv.newton_solve(system, u, 1.0, 11.0, cfg)
+        scale = np.tile([1.0, 0.1, 0.01], system.mesh.n_nodes)
+        assert np.max(np.abs(v - fresh) / scale) < 1e-7
+
+    def test_factor_of_another_dt_is_rebuilt(self, system, u_start):
+        class Stale:
+            def solve(self, b):
+                raise AssertionError("a factor built for dt = 0.5 was used")
+
+        lagged = slv.LaggedJacobian(Stale(), dt=0.5)
+        slv.newton_solve(system, u_start, 1.0, 1.0, SolverConfig(), lagged)
+        assert lagged.dt == 1.0 and lagged.builds >= 1
+
+    def test_lagged_update_that_raises_the_residual_is_dropped(
+            self, system, u_start):
+        """The bad update costs one iteration; the solve then goes on from
+        the same iterate exactly as a solve without a held factor."""
+        class Wild:
+            def solve(self, b):
+                return np.full_like(b, 50.0)
+
+        cfg = SolverConfig()
+        fresh, iters, _ = slv.newton_solve(system, u_start, 1.0, 1.0, cfg)
+        lagged = slv.LaggedJacobian(Wild(), dt=1.0)
+        v, lagged_iters, _ = slv.newton_solve(system, u_start, 1.0, 1.0, cfg,
+                                              lagged)
+        assert lagged_iters == iters + 1
+        assert np.array_equal(v, fresh)
+
+    def test_calls_without_a_holder_do_not_share_a_factor(self, system,
+                                                          u_smooth):
+        u, t = u_smooth
+        cfg = SolverConfig()
+        first = slv.newton_solve(system, u, 1.0, t + 1.0, cfg)
+        slv.newton_solve(system, u, 1.0, t + 1.0, cfg, slv.LaggedJacobian())
+        second = slv.newton_solve(system, u, 1.0, t + 1.0, cfg)
+        assert first[1] == second[1]
+        assert np.array_equal(first[0], second[0])
 
 
 class TestJacobian:
@@ -319,12 +410,6 @@ class TestFillGuard:
     natural order 169k.  Unscaled, SuperLU interchanges 67 rows at t = 0
     and more as the run goes on, and fill grows with them."""
 
-    @pytest.fixture(scope="class")
-    def preset(self):
-        sc = humphrey_preset()
-        system = build_system(sc)
-        return system, initial_state(sc, system.mesh)
-
     @pytest.mark.parametrize("steps", [0, 1])
     def test_fill_and_accuracy(self, preset, steps, monkeypatch):
         system, u = preset
@@ -400,6 +485,39 @@ class TestRunTransient:
         res = slv.run_transient(idle_system, u, SolverConfig(
             t_end=dt, dt=dt, scheme="explicit"))
         assert any("advisory" in ln for ln in res.log)
+
+    def test_step_counts_recorded(self, system, u_start, monkeypatch):
+        """Each accepted step records its dt halvings and Jacobian builds,
+        the builds of its failed attempts included."""
+        validate = slv.validate_state
+        rejected = []
+
+        def reject_first_step(u, h_tol=1e-9, a_tol=None):
+            if a_tol is not None and not rejected:
+                rejected.append(True)
+                raise StepError("synthetic rejection")
+            validate(u, h_tol, a_tol)
+
+        builds = []
+        build = slv.fd_jacobian
+
+        def counted(*args, **kwargs):
+            builds.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(slv, "validate_state", reject_first_step)
+        monkeypatch.setattr(slv, "fd_jacobian", counted)
+        res = slv.run_transient(system, u_start,
+                                SolverConfig(t_end=0.3, dt=0.1))
+        assert sum(res.jacobian_builds) == len(builds)
+        assert res.halvings[0] == 1
+        assert res.dt_used[0] == pytest.approx(0.05)
+        assert len(res.halvings) == len(res.jacobian_builds) \
+            == len(res.dt_used)
+        assert res.jacobian_builds[0] >= 2
+        assert all(h == 0 for h in res.halvings[1:])
+        assert all(b <= n for b, n in zip(res.jacobian_builds[1:],
+                                          res.newton_iters[1:]))
 
     def test_mean_newton_iters(self):
         res = slv.TransientResult(newton_iters=[3, 5, 4])
