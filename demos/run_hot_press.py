@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from hotpress.assembly import state_fields
+from hotpress.assembly import P_TOTAL, state_fields
 from hotpress.scenario import SolverConfig, humphrey_preset, run_scenario
 
 ################################################################################
@@ -46,7 +46,7 @@ print("   [s]    [degC]      [degC]         [%]    [N/m2]")
 for t in [0.0] + sorted(result.outputs):
     u = result.states[0] if t == 0.0 else result.outputs[t]
     t_c, h, _ = state_fields(u)
-    p_core = system.nodal_state(u)["p_total"][core]
+    p_core = system.nodal_state(u)[core, P_TOTAL]
     print(f"  {t:5.0f}   {t_c[core]:6.2f}     {t_c[under_platen]:7.2f}"
           f"      {h[core]:6.2f}   {p_core:8.0f}")
 

@@ -43,10 +43,13 @@ a uniform state in equilibrium with all boundary values.
 The material laws are pointwise, so the constitutive state is evaluated
 at the nodes, in one place: ``PressSystem.nodal_state`` calls
 ``derive_thermo`` (closed-form isotherm inversion) and
-``vapor_density_partials`` (closed-form slopes of rho_v) once per node.
-The residual, the explicit rates, velocity recovery and the snapshots
-gather its records to element corners through ``mesh.elements``; the
-finite-difference Jacobian splices corners from perturbed nodal states.
+``vapor_density_partials`` (closed-form slopes of rho_v) once per node,
+into a float array with one row per node and the columns ``RHO_V`` ...
+``HEAT``.  The residual, the explicit rates, velocity recovery and the
+snapshots gather its rows to element corners through ``mesh.elements``;
+the finite-difference Jacobian splices corner rows from perturbed nodal
+states and sums its element blocks into the nodal blocks of
+``PressSystem.newton_order`` through ``PressSystem.element_slots``.
 ``PressSystem`` has no verification modes: the manufactured-solution and
 frozen-coefficient systems are subclasses in ``verification``.
 """
@@ -75,15 +78,16 @@ STATE_SCALE = np.array([1.0, 1.0, 0.1])  # degC, %, kg/m3
 # state evaluable without affecting any scenario-reachable state
 PRESSURE_FLOOR = 100.0  # N/m2
 
-# One record of the constitutive state per node (PressSystem.nodal_state),
-# SI units.  ``rho_v`` is the vapor density the moisture flux carries and
-# ``rho_v_adv`` the one carrying sensible heat, equal except in the
-# frozen-coefficient system; ``rv_t``, ``rv_h`` are d(rho_v)/dT and
-# d(rho_v)/dH, ``mob_*`` the gas mobilities K/mu and ``heat`` the latent
-# plus sorption heat.
-NODAL_STATE = np.dtype([(name, float) for name in (
-    "rho_v", "rho_v_adv", "rv_t", "rv_h", "p_vapor", "p_total", "kappa_xy",
-    "kappa_z", "mob_xy", "mob_z", "diffusivity", "cp", "heat")])
+# Columns of the constitutive state, one row per node
+# (PressSystem.nodal_state), SI units.  RHO_V is the vapor density the
+# moisture flux carries and RHO_V_ADV the one carrying sensible heat, equal
+# except in the frozen-coefficient system; RV_T, RV_H are d(rho_v)/dT and
+# d(rho_v)/dH, MOB_* the gas mobilities K/mu and HEAT the latent plus
+# sorption heat.  MOB_XY, MOB_Z and CP, HEAT are adjacent: each pair is
+# interpolated as one slice.
+N_NODAL = 13
+(RHO_V, RHO_V_ADV, RV_T, RV_H, P_VAPOR, P_TOTAL, KAPPA_XY, KAPPA_Z, MOB_XY,
+ MOB_Z, DIFFUSIVITY, CP, HEAT) = range(N_NODAL)
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +121,10 @@ class NodalOrder:
     CSR structure (``indptr``, ``indices``) of the matrices it serves;
     every node's diagonal block belongs to it.  ``blocks(a)`` gathers such
     a matrix into its nodal blocks, ``(n_blocks, b, b)`` with zeros where
-    the pattern has no entry; ``block_row`` is the node of each block row
-    and ``diag`` the index of each node's diagonal block.  ``csc(blocks)``
+    the pattern has no entry, and ``slots`` is where each CSR entry lies in
+    them; ``block_row`` is the node of each block row, ``diag`` the index
+    of each node's diagonal block and ``block_of`` that of any node pair
+    of the pattern.  ``csc(blocks)``
     lays blocks out as the CSC matrix ``P A P^T``, where ``(P x)[m] =
     x[dofs[m]]`` and ``dofs`` keeps the unknowns of a node together in
     ``node_order``.  The maps are built once, by sorting.
@@ -135,6 +141,7 @@ class NodalOrder:
                                np.arange(n_nodes) * (n_nodes + 1)])
         pairs, pair_of = np.unique(keys, return_inverse=True)
         self.slots = (pair_of[:len(rows)] * b + rows % b) * b + indices % b
+        self.pairs, self.n_nodes = pairs, n_nodes
         self.block_row = pairs // n_nodes
         self.diag = pair_of[len(rows):]
         self.dofs = (b * np.asarray(node_order)[:, None] + np.arange(b)).ravel()
@@ -151,6 +158,10 @@ class NodalOrder:
         ).astype(np.int32)
         self.shape = (n, n)
         self.block = b
+
+    def block_of(self, row_nodes, col_nodes):
+        """Index of the block of each node pair, which the pattern holds."""
+        return np.searchsorted(self.pairs, row_nodes * self.n_nodes + col_nodes)
 
     def blocks(self, a):
         """Nodal blocks of the CSR matrix ``a``, which has this pattern."""
@@ -433,6 +444,20 @@ class PressSystem:
         return NodalOrder(pattern.indptr, pattern.indices,
                           self.mesh.dissection_order())
 
+    @cached_property
+    def element_slots(self):
+        """Where each entry ``(e, 3a + i, 3b + j)`` of the element Jacobian
+        blocks (n_el, 12, 12) lies in the raveled nodal blocks of
+        ``newton_order``: variable j of corner b in the row of variable i of
+        corner a.  Built with ``newton_order``, once per system."""
+        elements = self.mesh.elements
+        block = self.newton_order.block_of(elements[:, :, None],
+                                           elements[:, None, :])
+        var = np.arange(N_VARS)
+        slots = (block[:, :, None, :, None] * N_VARS + var[:, None, None]) \
+            * N_VARS + var
+        return slots.reshape(len(elements), 4 * N_VARS, 4 * N_VARS)
+
     # -- constraint values ---------------------------------------------------
 
     def rim_moisture_bc(self, t_node):
@@ -520,26 +545,28 @@ class PressSystem:
         return (self.grad_gauss @ f).reshape(len(f), -1, 2, f.shape[-1])
 
     def nodal_state(self, u):
-        """One ``NODAL_STATE`` record per node of ``u``: the one place the
-        material laws are evaluated.  ``[mesh.elements]`` gathers the
-        records to the element corners, shape (n_el, 4)."""
+        """Constitutive state of every node of ``u``, a float array
+        (n_nodes, N_NODAL) with the columns RHO_V ... HEAT: the one place
+        the material laws are evaluated.  ``[mesh.elements]`` gathers its
+        rows to the element corners, shape (n_el, 4, N_NODAL)."""
         t_c, h, rho_a = state_fields(u)
         th = derive_thermo(t_c, h, rho_a, self.params, self.epsilon)
-        s = np.empty(len(t_c), dtype=NODAL_STATE)
-        s["rho_v"] = s["rho_v_adv"] = th.rho_v
-        s["rv_t"], s["rv_h"] = vapor_density_partials(t_c, h, th.hr, self.params)
-        s["p_vapor"], s["p_total"] = th.p_vapor, th.p_total
-        s["kappa_xy"], s["kappa_z"] = th.kappa_xy, th.kappa_z
-        s["mob_xy"] = th.perm_xy / th.viscosity
-        s["mob_z"] = th.perm_z / th.viscosity
-        s["diffusivity"], s["cp"] = th.diffusivity, th.cp
-        s["heat"] = th.latent + th.sorption
+        s = np.empty((len(t_c), N_NODAL))
+        s[:, RHO_V] = s[:, RHO_V_ADV] = th.rho_v
+        s[:, RV_T], s[:, RV_H] = vapor_density_partials(t_c, h, th.hr,
+                                                        self.params)
+        s[:, P_VAPOR], s[:, P_TOTAL] = th.p_vapor, th.p_total
+        s[:, KAPPA_XY], s[:, KAPPA_Z] = th.kappa_xy, th.kappa_z
+        s[:, MOB_XY] = th.perm_xy / th.viscosity
+        s[:, MOB_Z] = th.perm_z / th.viscosity
+        s[:, DIFFUSIVITY], s[:, CP] = th.diffusivity, th.cp
+        s[:, HEAT] = th.latent + th.sorption
         return s
 
     def _gauss_velocity(self, corners):
         """Darcy gas velocity (n_el, n_gp, 2) at the quadrature points."""
-        mob = self._at_gauss(np.stack([corners["mob_xy"], corners["mob_z"]], axis=-1))
-        grad_p = self._grad_at_gauss(corners["p_total"][..., None])[..., 0]
+        mob = self._at_gauss(corners[..., MOB_XY:MOB_Z + 1])
+        grad_p = self._grad_at_gauss(corners[..., P_TOTAL, None])[..., 0]
         return np.stack(darcy_velocity(grad_p, mob[..., 0], mob[..., 1]), axis=-1)
 
     def element_residual(self, ue, due, t, corners):
@@ -554,13 +581,14 @@ class PressSystem:
         p = self.params
         # (T, rho_v, rho_a): what each balance conducts or diffuses, and
         # what the gas convects
-        carried = np.stack([ue[:, :, IDX_T], corners["rho_v"], ue[:, :, IDX_A]],
+        carried = np.stack([ue[:, :, IDX_T], corners[..., RHO_V], ue[:, :, IDX_A]],
                            axis=-1)
         u_g = self._at_gauss(carried)
         grad_u = self._grad_at_gauss(carried)                 # (n_el, n_gp, 2, 3)
         coef = self._at_gauss(np.stack(
-            [corners["kappa_xy"], corners["kappa_z"],
-             self.epsilon * corners["diffusivity"], corners["rho_v_adv"]], axis=-1))
+            [corners[..., KAPPA_XY], corners[..., KAPPA_Z],
+             self.epsilon * corners[..., DIFFUSIVITY], corners[..., RHO_V_ADV]],
+            axis=-1))
         kappa, eps_d = coef[..., :2], coef[..., 2]
         heat_adv = coef[..., 3] * p.cp_vapor                  # rho_v,adv cp_vapor
         vel = self._gauss_velocity(corners)
@@ -599,12 +627,11 @@ class PressSystem:
         mdot = eps (rv_t dT/dt + rv_h dH/dt) - (rho_s/100) dH/dt.
         """
         p = self.params
-        m = self.n_test @ self._at_gauss(
-            np.stack([corners["cp"], corners["heat"]], axis=-1))
+        m = self.n_test @ self._at_gauss(corners[..., CP:HEAT + 1])
         m_t = m[..., 0] * p.rho_s
         s_lat = m[..., 1]
-        c_tt = m_t + s_lat * self.epsilon * corners["rv_t"]
-        c_th = s_lat * (self.epsilon * corners["rv_h"] - p.rho_s / 100.0)
+        c_tt = m_t + s_lat * self.epsilon * corners[..., RV_T]
+        c_th = s_lat * (self.epsilon * corners[..., RV_H] - p.rho_s / 100.0)
         return c_tt, c_th
 
     def _supg_tau(self, vel, kappa, eps_d, heat_adv):
@@ -723,9 +750,9 @@ class PressSystem:
         1/P_total, so a near-vacuum pore gas sets the limit.
         """
         s = self.nodal_state(u)
-        kappa = np.maximum(s["kappa_xy"], s["kappa_z"])
-        alpha = max(float(np.max(kappa / (self.params.rho_s * s["cp"]))),
-                    float(np.max(s["diffusivity"])))
+        kappa = np.maximum(s[:, KAPPA_XY], s[:, KAPPA_Z])
+        alpha = max(float(np.max(kappa / (self.params.rho_s * s[:, CP]))),
+                    float(np.max(s[:, DIFFUSIVITY])))
         coords = self.mesh.nodes[self.mesh.elements]
         h_min = min(
             float(np.min(np.linalg.norm(coords[:, 1] - coords[:, 0], axis=1))),

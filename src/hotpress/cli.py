@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import state_fields
+from .assembly import P_TOTAL, P_VAPOR, state_fields
 from .errors import HotPressError, ScenarioError
 from .scenario import humphrey_preset, load_scenario, run_scenario, \
     with_overrides
@@ -51,7 +51,7 @@ def _write_snapshot(path, system, u, t):
     vel = system.recover_velocity(state)
     nodes = system.mesh.nodes
     data = np.column_stack([nodes[:, 0], nodes[:, 1], t_c, h, rho_a,
-                            state["p_vapor"], state["p_total"],
+                            state[:, P_VAPOR], state[:, P_TOTAL],
                             vel[:, 0], vel[:, 1]])
     header = (f"t={t:.6f} s; columns: r[m] z[m] T[degC] H[%] "
               "rho_a[kg/m3] P_v[N/m2] P[N/m2] V_r[m/s] V_z[m/s]")

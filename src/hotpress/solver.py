@@ -6,9 +6,10 @@ Implicit (backward Euler) stepping solves
 
 by Newton iteration with a finite-difference Jacobian spliced from four
 nodal constitutive states: twelve perturbed element-residual evaluations
-(one per local dof) plus the base, scattered into one sparse matrix.  At
-dt = inf the rate (v - u_n)/dt and its perturbation vanish, so the same
-Newton loop solves the steady problem ``R_spatial(v) = 0``.
+(one per local dof) plus the base, summed straight into the 3x3 nodal
+blocks of the Newton matrix's fixed pattern.  At dt = inf the rate
+(v - u_n)/dt and its perturbation vanish, so the same Newton loop solves
+the steady problem ``R_spatial(v) = 0``.
 
 The factored Newton matrix is kept, within a solve and from one step to
 the next, while the iterations it serves contract (chord iterations;
@@ -46,7 +47,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import splu
 
 from .assembly import N_VARS, NodalOrder, fd_step, validate_state
@@ -152,7 +153,7 @@ def rms(v):
 
 def fd_jacobian(system, u, t, dt, u_prev, eps_rel=1e-7):
     """Sparse Jacobian of the residual by finite differences spliced from
-    four nodal states.
+    four nodal states, in the pattern of ``system.newton_order``.
 
     Differentiates the implicit map ``G(u) = residual(u, (u - u_prev)/dt,
     t)``: each state step ``fd_step`` also steps the rate by delta/dt.  At
@@ -161,9 +162,12 @@ def fd_jacobian(system, u, t, dt, u_prev, eps_rel=1e-7):
     ``system.nodal_state`` is evaluated at ``u`` and at ``u + delta e_c``
     for each variable c, every node stepped at once.  Element column
     (a, c) takes corner a from the stepped state and the others from the
-    base, a structured sparse difference (Curtis, Powell & Reid 1974).
-    Each constrained row is a unit diagonal minus
-    ``system.constraint_slopes``, the centered difference of its target.
+    base, a structured sparse difference (Curtis, Powell & Reid 1974);
+    the corner, state and rate are put back from saved copies after each.
+    The element blocks are summed straight into the 3x3 nodal blocks
+    through ``system.element_slots``.  Each constrained row is a unit
+    diagonal minus ``system.constraint_slopes``, the centered difference
+    of its target, in its node's diagonal block.
     """
     elements = system.mesh.elements
     delta = fd_step(u, eps_rel)
@@ -181,36 +185,30 @@ def fd_jacobian(system, u, t, dt, u_prev, eps_rel=1e-7):
         step[c::N_VARS] = delta[c::N_VARS]
         stepped = system.nodal_state(u + step)
         for a in range(4):
-            spliced = corners.copy()
-            spliced[:, a] = stepped[elements[:, a]]
-            ue_p = ue.copy()
-            ue_p[:, a, c] += de[:, a, c]
-            due_p = due.copy()
-            due_p[:, a, c] += de[:, a, c] * rate_pert
-            pert = system.element_residual(ue_p, due_p, t, spliced)
+            saved = corners[:, a].copy(), ue[:, a, c].copy(), due[:, a, c].copy()
+            corners[:, a] = stepped[elements[:, a]]
+            ue[:, a, c] += de[:, a, c]
+            due[:, a, c] += de[:, a, c] * rate_pert
+            pert = system.element_residual(ue, due, t, corners)
+            corners[:, a], ue[:, a, c], due[:, a, c] = saved
             blocks[:, :, N_VARS * a + c] = (
                 (pert - base).reshape(n_el, 4 * N_VARS) / de[:, a, c, None]
             )
 
-    del corners, spliced, stepped, de  # free them before the assembly's peak
-    dofs = system.elem_dofs
-    rows = np.repeat(dofs[:, :, None], 4 * N_VARS, axis=2).ravel()
-    cols = np.repeat(dofs[:, None, :], 4 * N_VARS, axis=1).ravel()
-    data = blocks.ravel().copy()
-
+    order = system.newton_order
     constrained = system.constrained_dofs()
     is_constrained = np.zeros(system.n_dofs, dtype=bool)
     is_constrained[constrained] = True
-    data[is_constrained[rows]] = 0.0
-    c_cols = (constrained - constrained % N_VARS)[:, None] + np.arange(N_VARS)
-    c_vals = (c_cols == constrained[:, None]) \
+    blocks[is_constrained[system.elem_dofs]] = 0.0
+    nodal = np.bincount(
+        system.element_slots.ravel(), weights=blocks.ravel(),
+        minlength=len(order.block_row) * N_VARS**2,
+    ).reshape(-1, N_VARS, N_VARS)
+    node, var = np.divmod(constrained, N_VARS)
+    nodal[order.diag[node], var] = np.eye(N_VARS)[var] \
         - system.constraint_slopes(u, t, eps_rel)[constrained]
-    rows = np.concatenate([rows, np.repeat(constrained, N_VARS)])
-    cols = np.concatenate([cols, c_cols.ravel()])
-    data = np.concatenate([data, c_vals.ravel()])
-    return coo_matrix(
-        (data, (rows, cols)), shape=(system.n_dofs, system.n_dofs)
-    ).tocsr()
+    return csr_matrix((nodal.ravel()[order.slots], order.indices,
+                       order.indptr), shape=order.shape)
 
 
 class LUFactor:

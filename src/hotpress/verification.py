@@ -29,6 +29,9 @@ import numpy as np
 
 from .assembly import (
     N_VARS,
+    RHO_V,
+    RV_H,
+    RV_T,
     STATE_SCALE,
     PressSystem,
     derive_thermo,
@@ -117,8 +120,8 @@ class FrozenCoefficientSystem(PressSystem):
     def nodal_state(self, u):
         t_c, h, _ = state_fields(u)
         s = self._ref.copy()
-        s["rho_v"] = s["rho_v"] + s["rv_t"] * (t_c - self._t_ref) \
-            + s["rv_h"] * (h - self._h_ref)
+        s[:, RHO_V] = s[:, RHO_V] + s[:, RV_T] * (t_c - self._t_ref) \
+            + s[:, RV_H] * (h - self._h_ref)
         return s
 
     def _rim_targets(self, u):
@@ -144,16 +147,17 @@ class ManufacturedSystem(PressSystem):
         self.boundary_dofs = (
             N_VARS * nodes[:, None] + np.arange(N_VARS)[None, :]
         ).ravel()
-        self._source_t = None
-        self._source = None
+        self.sources = {}
 
     def source(self, t):
-        """Manufactured source at time t, shape (n_el, n_gp, 3); kept
-        until t changes, as every Newton iteration of a step reuses it."""
-        if t != self._source_t:
-            self._source = manufactured_source(self, self.solution, t)
-            self._source_t = t
-        return self._source
+        """Manufactured source at time t, shape (n_el, n_gp, 3), from the
+        table ``sources``, which maps each time to its source.  A time
+        missing from it is evaluated on demand and added: every Newton
+        iteration of a step reuses it.  ``mms_temporal_study`` fills the
+        table with every step time of its sweep in one call."""
+        if t not in self.sources:
+            self.sources[t] = manufactured_source(self, self.solution, t)
+        return self.sources[t]
 
     def constrained_dofs(self):
         return self.boundary_dofs
@@ -308,14 +312,17 @@ def _storage_terms(system, sol, r, z, t):
 
 
 def manufactured_source(system, sol, t, fd_rel=1e-4):
-    """Volumetric source (n_el, n_gp, 3) that makes ``sol`` exact.
+    """Volumetric source (..., n_el, n_gp, 3) that makes ``sol`` exact, at
+    the time or array of times ``t``.
 
     g = storage(du*/dt) + advection(u*) - div F(u*), with the
     axisymmetric divergence (dF_r/dr + F_r/r + dF_z/dz) evaluated by
-    fourth-order central differences of the pointwise-exact fluxes.
+    fourth-order central differences of the pointwise-exact fluxes.  Every
+    term is pointwise, so an array of times is evaluated in one pass, with
+    the same steps as a single time.
     """
-    r = system.gp_xy[..., 0]
-    z = system.gp_xy[..., 1]
+    r, z, t = np.broadcast_arrays(system.gp_xy[..., 0], system.gp_xy[..., 1],
+                                  np.asarray(t, dtype=float)[..., None, None])
     hr = fd_rel * float(np.max(r))
     hz = fd_rel * float(np.max(np.abs(z)) or 1.0)
 
@@ -388,13 +395,16 @@ def mms_temporal_study(dts=(1.0, 0.5, 0.25, 0.125, 0.0625), n=8, t_final=8.0):
     sol = _mms_solution(transient=True, period=t_final)
     system = _mms_system(n, sol)
     cfg = SolverConfig()
+    sweep = [(dt, [(k + 1) * dt for k in range(int(round(t_final / dt)))])
+             for dt in dts]
+    times = sorted({t for _, step_times in sweep for t in step_times})
+    system.sources.update(zip(times, manufactured_source(system, sol, times)))
     finals = []
-    for dt in dts:
-        steps = int(round(t_final / dt))
+    for dt, step_times in sweep:
         u = sol.state(system.mesh, 0.0)
         lagged = LaggedJacobian()
-        for k in range(steps):
-            u, _, _ = newton_solve(system, u, dt, (k + 1) * dt, cfg, lagged)
+        for t in step_times:
+            u, _, _ = newton_solve(system, u, dt, t, cfg, lagged)
         finals.append(u)
     diffs = [_scaled_error_norm(system, finals[i] - finals[i + 1])
              for i in range(len(finals) - 1)]

@@ -300,9 +300,12 @@ class TestJacobian:
         assert np.array_equal(sub, sub.T)
 
     def test_matches_dofwise_difference_of_the_residual(self, params):
-        """Every column equals a one-dof-at-a-time difference of the global
-        residual, so no corner is spliced from the wrong node."""
-        m = hm.build_graded_mesh(0.2828, 0.0075, 3, 3, 4.0)
+        """On an open 4 x 4 mesh every column, constrained rows included,
+        equals a centered one-dof-at-a-time difference of the global
+        residual, and the matrix has the pattern of ``newton_order``: a
+        corner spliced from the wrong node, or an element block summed
+        into the wrong nodal block, fails the column it lands in."""
+        m = hm.build_graded_mesh(0.2828, 0.0075, 4, 4, 4.0)
         system = asm.PressSystem(m, params, ramp_schedule, AMBIENT)
         rng = np.random.default_rng(3)
         n = m.n_nodes
@@ -314,14 +317,18 @@ class TestJacobian:
         def g(v):
             return system.residual(v, (v - u_prev) / dt, t)
 
-        jac = slv.fd_jacobian(system, u, t, dt=dt, u_prev=u_prev).toarray()
-        delta = asm.fd_step(u, 1e-7)
-        g0 = g(u)
+        jac = slv.fd_jacobian(system, u, t, dt=dt, u_prev=u_prev)
+        order = system.newton_order
+        assert np.array_equal(jac.indptr, order.indptr)
+        assert np.array_equal(jac.indices, order.indices)
+        dense = jac.toarray()
+        delta = asm.fd_step(u, 1e-6)
         for j in range(u.size):
-            v = u.copy()
-            v[j] += delta[j]
-            col = (g(v) - g0) / delta[j]
-            err = np.linalg.norm(jac[:, j] - col) / np.linalg.norm(col)
+            v_p, v_m = u.copy(), u.copy()
+            v_p[j] += delta[j]
+            v_m[j] -= delta[j]
+            col = (g(v_p) - g(v_m)) / (2.0 * delta[j])
+            err = np.linalg.norm(dense[:, j] - col) / np.linalg.norm(col)
             assert err < 1e-6, f"column {j} off by {err:.2e}"
 
     def test_isotherm_inverted_once_per_node_and_state(self, system, u_smooth,

@@ -10,6 +10,29 @@ from hotpress.solver import newton_solve, rms
 from hotpress import verification as vf
 
 
+# the temporal sweep of test_temporal_orders_first
+SWEEP_DTS = (0.25, 0.125, 0.0625, 0.03125)
+SWEEP_T_FINAL = 4.0
+
+
+@pytest.fixture(scope="module")
+def temporal_sweep():
+    """Differences and orders of the small temporal study, and the
+    (system, solution) of each ``manufactured_source`` call it made."""
+    calls = []
+    original = vf.manufactured_source
+
+    def counted(system, sol, t, *args, **kwargs):
+        calls.append((system, sol))
+        return original(system, sol, t, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(vf, "manufactured_source", counted)
+        diffs, orders = vf.mms_temporal_study(dts=SWEEP_DTS, n=5,
+                                              t_final=SWEEP_T_FINAL)
+    return diffs, orders, calls
+
+
 @pytest.fixture(scope="module")
 def small_scenario():
     return replace(humphrey_preset(), n_r=8, n_z=8,
@@ -154,15 +177,47 @@ class TestMmsConvergence:
         assert 1.7 < orders[-1] < 2.3, \
             f"spatial order off: {orders}"
 
-    def test_temporal_orders_first(self):
+    def test_temporal_orders_first(self, temporal_sweep):
         # small configuration: a coarse smoke band (the acceptance run
         # measures the production configuration against 1 +/- 0.2)
-        diffs, orders = vf.mms_temporal_study(
-            dts=(0.25, 0.125, 0.0625, 0.03125), n=5, t_final=4.0)
+        diffs, orders, _ = temporal_sweep
         assert all(a > b for a, b in zip(diffs, diffs[1:])), \
             f"dt differences should decay monotonically: {diffs}"
         assert 0.8 < np.mean(orders) < 1.4, \
             f"temporal order off: {orders}"
+
+
+class TestSourceTable:
+    """The temporal study evaluates its manufactured source once, for
+    every step time of its sweep, and the table matches single-time
+    evaluations."""
+
+    def test_source_evaluated_once(self, temporal_sweep):
+        assert len(temporal_sweep[2]) == 1
+
+    def test_table_matches_single_time_calls(self, temporal_sweep):
+        system, sol = temporal_sweep[2][0]
+        times = {(k + 1) * dt for dt in SWEEP_DTS
+                 for k in range(int(round(SWEEP_T_FINAL / dt)))}
+        assert set(system.sources) == times
+        for t in times:
+            single = vf.manufactured_source(system, sol, t)
+            table = system.sources[t]
+            assert table.shape == single.shape
+            scale = np.abs(single).max(axis=(0, 1))
+            err = (np.abs(table - single).max(axis=(0, 1)) / scale).max()
+            assert err <= 1e-12, f"t={t}: relative difference {err:.1e}"
+
+    def test_missing_time_evaluated_on_demand(self, temporal_sweep):
+        system, sol = temporal_sweep[2][0]
+        t = 1.0 / 3.0
+        assert t not in system.sources
+        try:
+            src = system.source(t)
+            assert t in system.sources
+        finally:
+            system.sources.pop(t, None)  # the table stays the sweep's
+        assert np.array_equal(src, vf.manufactured_source(system, sol, t))
 
 
 class TestConservationSuite:
