@@ -50,7 +50,7 @@ print("\nsorption equilibrium (moisture content, %):")
 print(f"  at 30 degC, HR 65%: {isotherm.emc(30.0, 65.0):6.2f}")
 print(f"  at 110 degC, HR 65%: {isotherm.emc(110.0, 65.0):6.2f}")
 print(f"  inverse check: HR(30 degC, H=11%) = "
-      f"{isotherm.hr_from_emc(30.0, 11.0):.1f}%")
+      f"{isotherm.hr_from_emc(30.0, 11.0)[0]:.1f}%")
 
 ################################################################################
 # transport: conductivity, viscosity, diffusivity, permeability

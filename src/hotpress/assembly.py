@@ -41,13 +41,16 @@ equilibrium) by their Dirichlet residuals.  The residual is exactly zero for
 a uniform state in equilibrium with all boundary values.
 
 The material laws are pointwise, so the constitutive state is evaluated
-at the nodes, in one place: ``PressSystem.nodal_state`` calls
-``derive_thermo`` (closed-form isotherm inversion) and
-``vapor_density_partials`` (closed-form slopes of rho_v) once per node,
-into a float array with one row per node and the columns ``RHO_V`` ...
-``HEAT``.  The residual, the explicit rates, velocity recovery and the
-snapshots gather its rows to element corners through ``mesh.elements``;
-the finite-difference Jacobian splices corner rows from perturbed nodal
+at the nodes, in one place: ``PressSystem.nodal_state`` is one call of
+``derive_thermo``, a single pass that inverts the isotherm once per node,
+for the humidity and both its slopes, into a float array with one row per
+node and the columns ``P_TOTAL`` ... ``P_VAPOR``, T and rho_a among them.
+The residual, the explicit rates, velocity recovery and the snapshots
+gather its rows to element corners through ``mesh.elements``.  The element
+residual reads two slices of the corners: the columns up to ``RHO_A``
+(P_total, T, rho_v, rho_a), whose gradients it takes with one product,
+and those up to ``MOB_Z``, whose values it interpolates with another.
+The finite-difference Jacobian splices corner rows from perturbed nodal
 states and sums its element blocks into the nodal blocks of
 ``PressSystem.newton_order`` through ``PressSystem.element_slots``.
 ``PressSystem`` has no verification modes: the manufactured-solution and
@@ -56,7 +59,6 @@ frozen-coefficient systems are subclasses in ``verification``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -79,15 +81,16 @@ STATE_SCALE = np.array([1.0, 1.0, 0.1])  # degC, %, kg/m3
 PRESSURE_FLOOR = 100.0  # N/m2
 
 # Columns of the constitutive state, one row per node
-# (PressSystem.nodal_state), SI units.  RHO_V is the vapor density the
-# moisture flux carries and RHO_V_ADV the one carrying sensible heat, equal
-# except in the frozen-coefficient system; RV_T, RV_H are d(rho_v)/dT and
-# d(rho_v)/dH, MOB_* the gas mobilities K/mu and HEAT the latent plus
-# sorption heat.  MOB_XY, MOB_Z and CP, HEAT are adjacent: each pair is
-# interpolated as one slice.
-N_NODAL = 13
-(RHO_V, RHO_V_ADV, RV_T, RV_H, P_VAPOR, P_TOTAL, KAPPA_XY, KAPPA_Z, MOB_XY,
- MOB_Z, DIFFUSIVITY, CP, HEAT) = range(N_NODAL)
+# (PressSystem.nodal_state), SI units.  TEMP and RHO_A repeat the state;
+# RHO_V is the vapor density the moisture flux carries and RHO_V_ADV the
+# one carrying sensible heat, equal except in the frozen-coefficient
+# system; RV_T, RV_H are d(rho_v)/dT and d(rho_v)/dH, MOB_* the gas
+# mobilities K/mu and HEAT the latent plus sorption heat.  The element
+# residual differentiates the columns up to RHO_A and interpolates those
+# up to MOB_Z, each as one slice; CP, HEAT are its storage slice.
+N_NODAL = 15
+(P_TOTAL, TEMP, RHO_V, RHO_A, KAPPA_XY, KAPPA_Z, DIFFUSIVITY, RHO_V_ADV,
+ MOB_XY, MOB_Z, CP, HEAT, RV_T, RV_H, P_VAPOR) = range(N_NODAL)
 
 
 # ---------------------------------------------------------------------------
@@ -215,101 +218,67 @@ def validate_state(u, h_tol=1e-9, a_tol=None):
 # pointwise thermodynamic state
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ThermoPoint:
-    """All derived quantities at one (or an array of) state point(s)."""
+def derive_thermo(t_c, h_pct, rho_a, params):
+    """Constitutive state at (T, H, rho_a): one pass of the material laws
+    into an array (..., N_NODAL) with the columns P_TOTAL ... P_VAPOR.
 
-    p_air: np.ndarray        # N/m2
-    hr: np.ndarray           # %
-    p_vapor: np.ndarray      # N/m2
-    rho_v: np.ndarray        # kg/m3
-    p_total: np.ndarray      # N/m2
-    epsilon: float
-    latent: np.ndarray       # J/kg
-    sorption: np.ndarray     # J/kg
-    kappa_z: np.ndarray      # W/(m K)
-    kappa_xy: np.ndarray
-    perm_z: float            # m2
-    perm_xy: float
-    viscosity: np.ndarray    # kg/(m s)
-    diffusivity: np.ndarray  # m2/s
-    cp: np.ndarray           # J/(kg K)
-
-
-def derive_thermo(t_c, h_pct, rho_a, params, epsilon=None):
-    """Evaluate the full derived state at given (T, H, rho_a).
-
-    Order of evaluation: air partial pressure from the gas law, relative
-    humidity from the sorption surface, saturation and vapor pressure,
-    vapor density from the vapor-state fit, then every transport
-    coefficient.  Moisture is clamped at zero for the constitutive
-    evaluations so slightly-undershooting transients stay evaluable.
+    The sorption surface is inverted once, for the relative humidity and
+    both its slopes; P_sat is evaluated once and its slope derived from
+    it; the board permeability is the constant ``params.perm_z``.  The air
+    partial pressure follows from the gas law, the vapor density from the
+    vapor-state fit and each transport coefficient from its correlation
+    in ``properties``.  Moisture is clamped at zero for the constitutive
+    evaluations so slightly-undershooting transients stay evaluable;
+    below zero d(rho_v)/dH is zero.
 
     Parameters
     ----------
     t_c, h_pct, rho_a : float or ndarray
-        State (same shapes).
+        State (broadcast together).
     params : MaterialParams
-    epsilon : float, optional
-        Porosity; defaults to the board value from ``params``.
-
-    Returns
-    -------
-    ThermoPoint
     """
-    t_c = np.asarray(t_c, dtype=float)
-    h = np.maximum(np.asarray(h_pct, dtype=float), 0.0)
-    rho_a = np.asarray(rho_a, dtype=float)
-    if epsilon is None:
-        epsilon = params.porosity_value()
-
+    t_c, h_pct, rho_a = np.broadcast_arrays(np.asarray(t_c, dtype=float),
+                                            np.asarray(h_pct, dtype=float),
+                                            np.asarray(rho_a, dtype=float))
+    h = np.maximum(h_pct, 0.0)
     t_k = t_c + KELVIN
     if np.any(t_k <= 0.0) or np.any(~np.isfinite(t_k)):
         raise DomainError("temperature at or below absolute zero")
-    p_air = rho_a * params.r_gas * t_k / params.mm_air
-    hr = params.isotherm.hr_from_emc(t_c, h)
+    hr, hr_t, hr_h = params.isotherm.hr_from_emc(t_c, h)
     p_sat = props.saturated_vapor_pressure(t_c)
-    p_vapor = (hr / 100.0) * p_sat
-    rho_v = props.vapor_density(p_sat, hr)
-    p_total = p_air + p_vapor
 
-    kappa_z = props.thermal_conductivity_z(t_c, h, params.rho_s)
-    perm_z = props.vertical_permeability(params.rho_s, params)
-    return ThermoPoint(
-        p_air=p_air,
-        hr=hr,
-        p_vapor=p_vapor,
-        rho_v=rho_v,
-        p_total=p_total,
-        epsilon=epsilon,
-        latent=props.latent_heat(t_c),
-        sorption=props.sorption_heat(h),
-        kappa_z=kappa_z,
-        kappa_xy=props.thermal_conductivity_xy(kappa_z, params.kappa_anisotropy),
-        perm_z=perm_z,
-        perm_xy=props.horizontal_permeability(perm_z, params.perm_anisotropy),
-        viscosity=props.gas_viscosity(t_c),
-        diffusivity=props.steam_air_diffusivity(
-            np.maximum(p_total, PRESSURE_FLOOR), t_k
-        ),
-        cp=props.specific_heat(t_k, h / 100.0),
-    )
+    s = np.empty(t_c.shape + (N_NODAL,))
+    s[..., TEMP], s[..., RHO_A] = t_c, rho_a
+    s[..., P_VAPOR] = (hr / 100.0) * p_sat
+    s[..., RHO_V] = s[..., RHO_V_ADV] = props.vapor_density(p_sat, hr)
+    s[..., RV_T], s[..., RV_H] = vapor_density_partials(
+        p_sat, props.saturated_vapor_pressure_slope(t_c, p_sat), hr, hr_t,
+        np.where(h_pct < 0.0, 0.0, hr_h))
+    s[..., P_TOTAL] = rho_a * params.r_gas * t_k / params.mm_air + s[..., P_VAPOR]
+    s[..., KAPPA_Z] = props.thermal_conductivity_z(t_c, h, params.rho_s)
+    s[..., KAPPA_XY] = props.thermal_conductivity_xy(s[..., KAPPA_Z],
+                                                     params.kappa_anisotropy)
+    mu = props.gas_viscosity(t_c)
+    s[..., MOB_XY] = props.horizontal_permeability(
+        params.perm_z, params.perm_anisotropy) / mu
+    s[..., MOB_Z] = params.perm_z / mu
+    s[..., DIFFUSIVITY] = props.steam_air_diffusivity(
+        np.maximum(s[..., P_TOTAL], PRESSURE_FLOOR), t_k)
+    s[..., CP] = props.specific_heat(t_k, h / 100.0)
+    s[..., HEAT] = props.latent_heat(t_c) + props.sorption_heat(h)
+    return s
 
 
-def vapor_density_partials(t_c, h_pct, hr, params):
-    """d(rho_v)/dT and d(rho_v)/dH in closed form at the humidity ``hr``
-    that ``derive_thermo`` inverted at the same (T, H).
+def vapor_density_partials(p_sat, p_sat_t, hr, hr_t, hr_h):
+    """d(rho_v)/dT and d(rho_v)/dH from P_sat, its slope ``p_sat_t``, the
+    relative humidity ``hr`` and its slopes ``hr_t``, ``hr_h``.
 
-    rho_v is linear in P_sat(T) and in HR(T, H), whose slopes come from the
-    isotherm.  They are zero where HR is clamped, at saturation and for
-    H < 0; there d(rho_v)/dT is the saturation-pressure term alone.
+    rho_v is linear in P_sat(T) and in HR(T, H).  Where HR is clamped, at
+    saturation and for H < 0, its slopes come in as zero and d(rho_v)/dT
+    is the saturation-pressure term alone.
     """
-    hr_t, hr_h = params.isotherm.hr_slopes(t_c, hr)
-    p_sat = props.saturated_vapor_pressure(t_c)
-    drv_dt = props.vapor_density(props.saturated_vapor_pressure_slope(t_c), hr) \
-        + props.vapor_density(p_sat, hr_t)
-    drv_dh = props.vapor_density(p_sat, np.where(np.asarray(h_pct) < 0.0, 0.0, hr_h))
-    return drv_dt, drv_dh
+    return (props.vapor_density(p_sat_t, hr) + props.vapor_density(p_sat, hr_t),
+            props.vapor_density(p_sat, hr_h))
 
 
 def darcy_velocity(grad_p, mob_xy, mob_z):
@@ -324,15 +293,13 @@ def darcy_velocity(grad_p, mob_xy, mob_z):
 
     Returns
     -------
-    (V_r, V_z) : tuple of arrays
-        [m/s], anti-parallel to the pressure gradient.
+    (..., 2) array
+        (V_r, V_z) [m/s], anti-parallel to the pressure gradient.
     """
-    return -mob_xy * grad_p[..., 0], -mob_z * grad_p[..., 1]
-
-
-def _along(vec, grad):
-    """vec . grad at the quadrature points, (n_el, n_gp, 2) . (n_el, n_gp, 2, k)."""
-    return vec[..., 0, None] * grad[:, :, 0] + vec[..., 1, None] * grad[:, :, 1]
+    vel = np.negative(grad_p)
+    vel[..., 0] *= mob_xy
+    vel[..., 1] *= mob_z
+    return vel
 
 
 def tau_supg(a_mag, h, kappa):
@@ -397,11 +364,17 @@ class PressSystem:
         wdetr = rule.weights[None, :] * detj * self.gp_xy[..., 0]  # (n_el, n_gp)
         # element operators for batched matmuls: ``shape`` and ``grad_gauss``
         # (rows g*2 + d) take corner fields (n_el, 4, k) to the quadrature
-        # points, ``n_test`` (w N_a) and ``grad_test`` (w dN_a/dx_d) back
+        # points, ``n_test`` (w N_a) and ``grad_test`` (w dN_a/dx_d) back;
+        # ``mass`` (n_test shape) takes corner fields straight to their
+        # sums against w N_a
         self.grad_gauss = grad.transpose(0, 1, 3, 2).reshape(len(grad), -1, 4)
         self.n_test = np.einsum("eg,ga->eag", wdetr, self.shape)
         self.grad_test = np.einsum("eg,egad->eagd", wdetr, grad).reshape(
             len(grad), 4, -1)
+        self.mass = self.n_test @ self.shape
+        # dN_a/dx_d with the axes (d, a, e, g): each (n_el, n_gp) slab is
+        # one whole array, so sums over the corners a run over slabs
+        self.grad_n = np.ascontiguousarray(grad.transpose(3, 2, 0, 1))
         self.omega = self.n_test.sum(axis=2)
         # lumped r-weighted volume of each node
         self.nodal_volume = self._assemble(self.omega[..., None])[:, 0]
@@ -534,80 +507,64 @@ class PressSystem:
         return np.bincount(slots, weights=blocks.ravel(),
                            minlength=k * self.mesh.n_nodes).reshape(-1, k)
 
-    def _at_gauss(self, f):
-        """Corner fields (n_el, 4, k) interpolated to the quadrature
-        points, shape (n_el, n_gp, k)."""
-        return self.shape @ f
-
-    def _grad_at_gauss(self, f):
-        """(d/dr, d/dz) of corner fields (n_el, 4, k) at the quadrature
-        points, shape (n_el, n_gp, 2, k)."""
-        return (self.grad_gauss @ f).reshape(len(f), -1, 2, f.shape[-1])
+    def _at_gauss(self, corners):
+        """Nodal columns gathered to the element corners (n_el, 4, N_NODAL)
+        at the quadrature points: the values (n_el, n_gp, MOB_Z + 1) and
+        (d/dr, d/dz) (n_el, n_gp, 2, RHO_A + 1) of the leading columns, and
+        the Darcy gas velocity (n_el, n_gp, 2)."""
+        val = self.shape @ corners[..., :MOB_Z + 1]
+        grad = (self.grad_gauss @ corners[..., :RHO_A + 1]).reshape(
+            len(corners), -1, 2, RHO_A + 1)
+        return val, grad, darcy_velocity(grad[..., P_TOTAL], val[..., MOB_XY],
+                                         val[..., MOB_Z])
 
     def nodal_state(self, u):
         """Constitutive state of every node of ``u``, a float array
-        (n_nodes, N_NODAL) with the columns RHO_V ... HEAT: the one place
-        the material laws are evaluated.  ``[mesh.elements]`` gathers its
-        rows to the element corners, shape (n_el, 4, N_NODAL)."""
-        t_c, h, rho_a = state_fields(u)
-        th = derive_thermo(t_c, h, rho_a, self.params, self.epsilon)
-        s = np.empty((len(t_c), N_NODAL))
-        s[:, RHO_V] = s[:, RHO_V_ADV] = th.rho_v
-        s[:, RV_T], s[:, RV_H] = vapor_density_partials(t_c, h, th.hr,
-                                                        self.params)
-        s[:, P_VAPOR], s[:, P_TOTAL] = th.p_vapor, th.p_total
-        s[:, KAPPA_XY], s[:, KAPPA_Z] = th.kappa_xy, th.kappa_z
-        s[:, MOB_XY] = th.perm_xy / th.viscosity
-        s[:, MOB_Z] = th.perm_z / th.viscosity
-        s[:, DIFFUSIVITY], s[:, CP] = th.diffusivity, th.cp
-        s[:, HEAT] = th.latent + th.sorption
-        return s
+        (n_nodes, N_NODAL) with the columns P_TOTAL ... P_VAPOR: the one
+        place the material laws are evaluated.  ``[mesh.elements]``
+        gathers its rows to the element corners, shape (n_el, 4,
+        N_NODAL)."""
+        return derive_thermo(*state_fields(u), self.params)
 
-    def _gauss_velocity(self, corners):
-        """Darcy gas velocity (n_el, n_gp, 2) at the quadrature points."""
-        mob = self._at_gauss(corners[..., MOB_XY:MOB_Z + 1])
-        grad_p = self._grad_at_gauss(corners[..., P_TOTAL, None])[..., 0]
-        return np.stack(darcy_velocity(grad_p, mob[..., 0], mob[..., 1]), axis=-1)
-
-    def element_residual(self, ue, due, t, corners):
+    def element_residual(self, due, t, corners):
         """Scaled element residual rows, shape (n_el, 4, 3).
 
-        ``ue``/``due`` are element-local states and rates, and ``corners``
-        is the nodal state gathered to the element corners; summing the
-        returned blocks over elements yields the unconstrained global
-        residual.  The spatial part is the weak form of the module
-        docstring, one statement for the three balances.
+        ``corners`` is the nodal state gathered to the element corners,
+        which holds T and rho_a, and ``due`` the element-local rates, or
+        None for the spatial part alone; summing the returned blocks over
+        elements yields the unconstrained global residual.  The spatial
+        part is the weak form of the module docstring; its terms are
+        whole (n_el, n_gp) arrays, since numpy is slow on operations that
+        broadcast over a trailing axis of length 2 or 3.
         """
         p = self.params
-        # (T, rho_v, rho_a): what each balance conducts or diffuses, and
-        # what the gas convects
-        carried = np.stack([ue[:, :, IDX_T], corners[..., RHO_V], ue[:, :, IDX_A]],
-                           axis=-1)
-        u_g = self._at_gauss(carried)
-        grad_u = self._grad_at_gauss(carried)                 # (n_el, n_gp, 2, 3)
-        coef = self._at_gauss(np.stack(
-            [corners[..., KAPPA_XY], corners[..., KAPPA_Z],
-             self.epsilon * corners[..., DIFFUSIVITY], corners[..., RHO_V_ADV]],
-            axis=-1))
-        kappa, eps_d = coef[..., :2], coef[..., 2]
-        heat_adv = coef[..., 3] * p.cp_vapor                  # rho_v,adv cp_vapor
-        vel = self._gauss_velocity(corners)
-
-        # F: conduction; interdiffusion less the convection of rho_v, rho_a
-        flux = np.empty_like(grad_u)
-        flux[..., IDX_T] = kappa * grad_u[..., IDX_T]
-        flux[..., IDX_H:] = eps_d[..., None, None] * grad_u[..., IDX_H:] \
-            - vel[..., None] * u_g[:, :, None, IDX_H:]
-        # c = V . grad(T, rho_v, rho_a); the vapor carries sensible heat
-        conv = _along(vel, grad_u)
-        conv[..., IDX_T] *= heat_adv
-        tau = self._supg_tau(vel, kappa, eps_d, heat_adv)
+        val, grad, vel = self._at_gauss(corners)
+        eps_d = self.epsilon * val[..., DIFFUSIVITY]
+        heat_adv = val[..., RHO_V_ADV] * p.cp_vapor           # rho_v,adv cp_vapor
+        tau = self._supg_tau(vel, val[..., KAPPA_XY:KAPPA_Z + 1], eps_d, heat_adv)
 
         # dN_a pairs with F and, through the streamline test function
-        # tau V . grad N_a, with tau c V; N_a with S = c_T
-        re = self.grad_test @ (flux + vel[..., None] * (tau * conv)[:, :, None, :]
-                               ).reshape(len(ue), -1, N_VARS)
-        re[:, :, IDX_T] += (self.n_test @ conv[..., IDX_T, None])[..., 0]
+        # tau V . grad N_a, with tau c V: ``f`` is F + tau c V at the
+        # quadrature points, built from (n_el, n_gp) arrays
+        v_r, v_z = vel[..., 0], vel[..., 1]
+        f = np.empty(grad.shape[:2] + (2, N_VARS))
+        # energy: conduction; the gas convects the vapor's sensible heat,
+        # c_T = rho_v cp_vapor V . grad T
+        g_r, g_z = grad[..., 0, TEMP], grad[..., 1, TEMP]
+        c_t = heat_adv * (v_r * g_r + v_z * g_z)
+        w = tau[..., IDX_T] * c_t
+        f[..., 0, IDX_T] = val[..., KAPPA_XY] * g_r + w * v_r
+        f[..., 1, IDX_T] = val[..., KAPPA_Z] * g_z + w * v_z
+        # moisture and air: interdiffusion less the convection of rho_v,
+        # rho_a, c = V . grad(rho_v, rho_a)
+        for i, col in ((IDX_H, RHO_V), (IDX_A, RHO_A)):
+            g_r, g_z = grad[..., 0, col], grad[..., 1, col]
+            w = tau[..., i] * (v_r * g_r + v_z * g_z) - val[..., col]
+            f[..., 0, i] = eps_d * g_r + w * v_r
+            f[..., 1, i] = eps_d * g_z + w * v_z
+        re = self.grad_test @ f.reshape(len(corners), -1, N_VARS)
+        # N_a pairs with S = c_T
+        re[:, :, IDX_T] += (self.n_test @ c_t[..., None])[..., 0]
 
         if due is not None:
             c_tt, c_th = self._energy_storage(corners)
@@ -627,7 +584,7 @@ class PressSystem:
         mdot = eps (rv_t dT/dt + rv_h dH/dt) - (rho_s/100) dH/dt.
         """
         p = self.params
-        m = self.n_test @ self._at_gauss(corners[..., CP:HEAT + 1])
+        m = self.mass @ corners[..., CP:HEAT + 1]
         m_t = m[..., 0] * p.rho_s
         s_lat = m[..., 1]
         c_tt = m_t + s_lat * self.epsilon * corners[..., RV_T]
@@ -644,13 +601,12 @@ class PressSystem:
         velocity and diffusivity, hence tau.
         """
         v_mag = np.sqrt(vel[..., 0]**2 + vel[..., 1]**2 + 1e-300)
-        s = vel / v_mag[..., None]
+        s_r, s_z = vel[..., 0] / v_mag, vel[..., 1] / v_mag
         # streamline element length h = 2 / sum_a |s . grad N_a|
-        denom = np.abs(_along(s, self.grad_gauss.reshape(len(vel), -1, 2, 4))
-                       ).sum(axis=-1)
+        denom = np.abs(s_r * self.grad_n[0] + s_z * self.grad_n[1]).sum(axis=0)
         h_s = np.where(denom > 1e-12, 2.0 / np.maximum(denom, 1e-12),
                        self.h_fallback[:, None])
-        kappa_dir = kappa[..., 0] * s[..., 0]**2 + kappa[..., 1] * s[..., 1]**2
+        kappa_dir = kappa[..., 0] * s_r**2 + kappa[..., 1] * s_z**2
         tau = np.empty(v_mag.shape + (N_VARS,))
         tau[..., IDX_T] = heat_adv * tau_supg(
             heat_adv * v_mag, h_s, np.maximum(kappa_dir, 1e-12))
@@ -661,10 +617,9 @@ class PressSystem:
 
     def residual(self, u, dudt, t, constrained=True):
         """Global residual; rows of constrained dofs replaced when asked."""
-        ue = self._gather(u)
         due = None if dudt is None else self._gather(dudt)
         corners = self.nodal_state(u)[self.mesh.elements]
-        r = self._assemble(self.element_residual(ue, due, t, corners)).ravel()
+        r = self._assemble(self.element_residual(due, t, corners)).ravel()
         if constrained:
             dofs = self.constrained_dofs()
             r[dofs] = u[dofs] - self.constraint_targets(u, t)
@@ -681,7 +636,7 @@ class PressSystem:
         p = self.params
         corners = self.nodal_state(u)[self.mesh.elements]
         # spatial part only, scaled
-        re = self.element_residual(self._gather(u), None, t, corners)
+        re = self.element_residual(None, t, corners)
         c_tt, c_th = self._energy_storage(corners)
 
         sc = self.row_scale
@@ -713,7 +668,7 @@ class PressSystem:
         values are the volume-weighted average of the quadrature-point
         velocities (standard lumped L2 recovery).
         """
-        vel = self._gauss_velocity(state[self.mesh.elements])
+        vel = self._at_gauss(state[self.mesh.elements])[2]
         return self._assemble(self.n_test @ vel) / self.nodal_volume[:, None]
 
     def lumped_water(self, u):

@@ -193,10 +193,11 @@ def saturated_vapor_pressure(t_c):
     return p if np.ndim(p) else float(p)
 
 
-def saturated_vapor_pressure_slope(t_c):
-    """d(P_sat)/dT [N/(m2 K)] of ``saturated_vapor_pressure``."""
+def saturated_vapor_pressure_slope(t_c, p_sat):
+    """d(P_sat)/dT [N/(m2 K)] of ``saturated_vapor_pressure`` at t_c
+    [degC], from its value there, ``p_sat``."""
     t_k = np.asarray(t_c, dtype=float) + KELVIN
-    return saturated_vapor_pressure(t_c) * np.log(10.0) * _PSAT_B / t_k**2
+    return p_sat * (np.log(10.0) * _PSAT_B) / t_k**2
 
 
 def vapor_density(p_sat, hr_pct):
@@ -288,33 +289,36 @@ def porosity(rho, params):
 # sorption isotherm
 # ---------------------------------------------------------------------------
 
-# Hailwood-Horrobin W, k, k1, k2 as quadratics c0 + c1 F + c2 F^2 in degF
-_HH_POLYNOMIALS = ((330.0, 0.452, 0.00415), (0.791, 4.63e-4, -8.44e-7),
-                   (6.34, 7.75e-4, -9.35e-5), (1.09, 2.84e-2, -9.04e-5))
+# Hailwood-Horrobin W, k, k1, k2 (columns) as quadratics c0 + c1 F + c2 F^2
+# (rows) in degF
+_HH_COEFFS = np.array([[330.0, 0.791, 6.34, 1.09],
+                       [0.452, 4.63e-4, 7.75e-4, 2.84e-2],
+                       [0.00415, -8.44e-7, -9.35e-5, -9.04e-5]])
 _HH_T_RANGE = (0.0, 115.0)  # degC, the clamp applied to T before them
 
 
 def _surface(x, a, b):
-    """(g, dg/dx, num, den) of g = x/(1-x) + num/den with
-    num = a x + 2b x^2 and den = 1 + a x + b x^2."""
-    num = a * x + 2.0 * b * x**2
-    den = 1.0 + a * x + b * x**2
-    g_x = 1.0 / (1.0 - x) ** 2 \
-        + ((a + 4.0 * b * x) * den - num * (a + 2.0 * b * x)) / den**2
-    return x / (1.0 - x) + num / den, g_x, num, den
+    """(g, dg/dx, den) of g = x/(1-x) + num/den with num = a x + 2b x^2
+    and den = 1 + a x + b x^2."""
+    bx = b * x
+    den = 1.0 + x * (a + bx)
+    g_x = 1.0 / (1.0 - x) ** 2 + (a + bx * (4.0 + a * x)) / den**2
+    return x / (1.0 - x) + x * (a + 2.0 * bx) / den, g_x, den
 
 
 def _cubic_root(c3, c2, c1, c0, j):
     """Real root of c3 s^3 + c2 s^2 + c1 s + c0: the largest (j = 0) or the
     middle one (j = 1) of three real roots, else the only real root."""
-    b, c, d = c2 / c3, c1 / c3, c0 / c3
-    p, q = c - b * b / 3.0, 2.0 * b**3 / 27.0 - b * c / 3.0 + d
-    disc = q * q / 4.0 + p**3 / 27.0
+    b3, c, d = c2 / (3.0 * c3), c1 / c3, c0 / c3
+    # depressed cubic t^3 + 3 m t + 2 h = 0 in t = s + b3
+    bb = b3 * b3
+    m, h = (c - 3.0 * bb) / 3.0, (b3 * (2.0 * bb - c) + d) / 2.0
+    disc = h * h + m * m * m
     sq = np.sqrt(np.abs(disc))
-    three = 2.0 * np.sqrt(np.maximum(-p / 3.0, 0.0)) \
-        * np.cos((np.arctan2(sq, -q / 2.0) - 2.0 * np.pi * j) / 3.0)
-    u = np.cbrt(-q / 2.0 - np.copysign(sq, q))  # Cardano, larger-modulus term
-    return np.where(disc <= 0.0, three, u - p / (3.0 * u)) - b / 3.0
+    three = 2.0 * np.sqrt(np.maximum(-m, 0.0)) \
+        * np.cos((np.arctan2(sq, -h) - 2.0 * np.pi * j) / 3.0)
+    u = np.cbrt(-h - np.copysign(sq, h))  # Cardano, larger-modulus term
+    return np.where(disc <= 0.0, three, u - m / u) - b3
 
 
 @dataclass(frozen=True)
@@ -329,7 +333,7 @@ class HailwoodHorrobinIsotherm:
 
     The clamp is a kink: above it dRH/dT is zero, so d(rho_v)/dT keeps
     only its saturation-pressure term and falls by 12 % across 115 degC,
-    from 0.032585 to 0.028605 kg/(m3 K) at H = 10 %.
+    from 0.032584 to 0.028606 kg/(m3 K) at H = 10 %.
     """
 
     scale: float = 1.0
@@ -346,9 +350,9 @@ class HailwoodHorrobinIsotherm:
         t = np.asarray(t_c, dtype=float)
         t_f = np.clip(t, *_HH_T_RANGE) * 1.8 + 32.0
         df_dt = 1.8 * ((t >= _HH_T_RANGE[0]) & (t <= _HH_T_RANGE[1]))
-        (w, k, k1, k2), (dw, dk, dk1, dk2) = zip(*(
-            (c0 + c1 * t_f + c2 * t_f**2, df_dt * (c1 + 2.0 * c2 * t_f))
-            for c0, c1, c2 in _HH_POLYNOMIALS))
+        c0, c1, c2 = _HH_COEFFS.reshape((3, 4) + (1,) * t.ndim)
+        w, k, k1, k2 = c0 + t_f * (c1 + t_f * c2)
+        dw, dk, dk1, dk2 = df_dt * (c1 + 2.0 * c2 * t_f)
         pref = self.scale * (1800.0 / w)
         return (pref, k, k1, k1 * k2), (-pref * dw / w, dk, dk1, dk1 * k2 + k1 * dk2)
 
@@ -359,7 +363,8 @@ class HailwoodHorrobinIsotherm:
         return out if np.ndim(out) else float(out)
 
     def hr_from_emc(self, t_c, h_pct):
-        """Invert the surface: RH [%] that equilibrates at moisture H [%].
+        """Invert the surface: RH [%] that equilibrates at moisture H [%],
+        and its slopes (dRH/dT, dRH/dH) [%/degC, %/%].
 
         With x = k RH/100 and y = H/pref, EMC(T, RH) = H clears to the cubic
         b(y-1) x^3 + (2b - y(b-a)) x^2 + (1 + a - y(a-1)) x - y = 0, whose
@@ -367,7 +372,9 @@ class HailwoodHorrobinIsotherm:
         is solved for 1/x, since its x^3 coefficient vanishes at y = 1.
         Two Newton steps on the surface remove the roundoff of the closed
         form.  Moisture at or above the saturated value EMC(T, 100)
-        returns 100 (saturated pore gas).
+        returns 100 (saturated pore gas).  The slopes follow from the
+        implicit function theorem on the surface the residual check
+        evaluates; both are zero at saturation.
 
         Raises
         ------
@@ -375,42 +382,37 @@ class HailwoodHorrobinIsotherm:
             If the root does not reproduce H to 1e-6 %.
         """
         target = np.asarray(h_pct, dtype=float)
-        (pref, k, a, b), _ = self._coefficients(t_c)
+        (pref, k, a, b), (dpref, dk, da, db) = self._coefficients(t_c)
         y = target / pref
         y_sat = _surface(k, a, b)[0]
+        sat = y >= y_sat
         y_eq = np.minimum(y, y_sat)
         flip = y >= 0.5
         cubic = (b * (y - 1.0), 2.0 * b - y * (b - a), 1.0 + a - y * (a - 1.0), -y)
         # below y = 1/2 the cubic has three real roots and x is the middle
         # one; 1/x is the largest real root of the reversed cubic
-        root = _cubic_root(*(np.where(flip, rev, fwd)
-                             for fwd, rev in zip(cubic, cubic[::-1])),
-                           np.where(flip, 0, 1))
-        x = np.clip(root ** np.where(flip, -1.0, 1.0), 0.0, k)
+        root = np.asarray(_cubic_root(*(np.where(flip, rev, fwd)
+                                        for fwd, rev in zip(cubic, cubic[::-1])),
+                                      np.where(flip, 0, 1)))
+        x = np.clip(np.divide(1.0, root, out=root, where=flip), 0.0, k)
         for _ in range(2):
             g, g_x = _surface(x, a, b)[:2]
             x = np.clip(x - (g - y_eq) / g_x, 0.0, k)
-        hr = np.where(y >= y_sat, 100.0, 100.0 * x / k)
+        hr = np.where(sat, 100.0, 100.0 * x / k)
 
-        resid = np.abs(pref * (_surface(x, a, b)[0] - y_eq))
+        g, g_x, den = _surface(x, a, b)
+        resid = np.abs(pref * (g - y_eq))
         if np.any(resid > 1e-6):
             raise ConvergenceError(
                 f"isotherm inversion residual {float(np.max(resid)):.2e} % "
                 f"exceeds 1e-6 (T={t_c!r}, H={h_pct!r})"
             )
-        return hr if np.ndim(hr) else float(hr)
-
-    def hr_slopes(self, t_c, hr_pct):
-        """(dRH/dT, dRH/dH) of the inverse at (T [degC], RH [%]), by the
-        implicit function theorem; both are zero at saturation (RH = 100)."""
-        (pref, k, a, b), (dpref, dk, da, db) = self._coefficients(t_c)
-        h = np.asarray(hr_pct, dtype=float) / 100.0
-        x = k * h
-        g, g_x, num, den = _surface(x, a, b)
-        g_ab = (x * (den - num) * da + x**2 * (2.0 * den - num) * db) / den**2
-        emc_t = dpref * g + pref * (g_x * dk * h + g_ab)
-        emc_hr = np.where(h < 1.0, pref * g_x * k / 100.0, np.inf)
-        return -emc_t / emc_hr, 1.0 / emc_hr
+        # EMC = pref g(x, a, b) with x = k RH/100: its partial derivatives
+        g_ab = x * ((1.0 - b * x**2) * da + x * (2.0 + a * x) * db) / den**2
+        emc_t = dpref * g + pref * (g_x * dk * x / k + g_ab)
+        emc_hr = np.where(sat, np.inf, pref * g_x * k / 100.0)
+        out = hr, -emc_t / emc_hr, 1.0 / emc_hr
+        return out if np.ndim(hr) else tuple(float(v) for v in out)
 
     @classmethod
     def calibrated(cls, t_c=30.0, hr_pct=65.0, emc_target=11.0):
@@ -498,6 +500,8 @@ class MaterialParams:
         # tail of the measurements by >20 %
         object.__setattr__(self, "_perm_interp", PchipInterpolator(
             dens, np.log10(perm), extrapolate=False))
+        # the board's vertical permeability [m2], fixed with rho_s
+        object.__setattr__(self, "perm_z", vertical_permeability(self.rho_s, self))
 
     def porosity_value(self):
         """Porosity of this board (bulk density defaults to rho_s)."""

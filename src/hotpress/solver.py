@@ -163,7 +163,8 @@ def fd_jacobian(system, u, t, dt, u_prev, eps_rel=1e-7):
     for each variable c, every node stepped at once.  Element column
     (a, c) takes corner a from the stepped state and the others from the
     base, a structured sparse difference (Curtis, Powell & Reid 1974);
-    the corner, state and rate are put back from saved copies after each.
+    the corner, which holds the state, and the rate are put back from
+    saved copies after each.
     The element blocks are summed straight into the 3x3 nodal blocks
     through ``system.element_slots``.  Each constrained row is a unit
     diagonal minus ``system.constraint_slopes``, the centered difference
@@ -171,26 +172,24 @@ def fd_jacobian(system, u, t, dt, u_prev, eps_rel=1e-7):
     """
     elements = system.mesh.elements
     delta = fd_step(u, eps_rel)
-    ue = system._gather(u)
-    due = (ue - system._gather(u_prev)) / dt
+    due = (system._gather(u) - system._gather(u_prev)) / dt
     de = system._gather(delta)
     rate_pert = 1.0 / dt
 
     corners = system.nodal_state(u)[elements]
-    base = system.element_residual(ue, due, t, corners)
-    n_el = ue.shape[0]
+    base = system.element_residual(due, t, corners)
+    n_el = len(elements)
     blocks = np.empty((n_el, 4 * N_VARS, 4 * N_VARS))
     for c in range(N_VARS):
         step = np.zeros_like(u)
         step[c::N_VARS] = delta[c::N_VARS]
         stepped = system.nodal_state(u + step)
         for a in range(4):
-            saved = corners[:, a].copy(), ue[:, a, c].copy(), due[:, a, c].copy()
+            saved = corners[:, a].copy(), due[:, a, c].copy()
             corners[:, a] = stepped[elements[:, a]]
-            ue[:, a, c] += de[:, a, c]
             due[:, a, c] += de[:, a, c] * rate_pert
-            pert = system.element_residual(ue, due, t, corners)
-            corners[:, a], ue[:, a, c], due[:, a, c] = saved
+            pert = system.element_residual(due, t, corners)
+            corners[:, a], due[:, a, c] = saved
             blocks[:, :, N_VARS * a + c] = (
                 (pert - base).reshape(n_el, 4 * N_VARS) / de[:, a, c, None]
             )

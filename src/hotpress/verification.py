@@ -28,17 +28,25 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assembly import (
+    CP,
+    DIFFUSIVITY,
+    HEAT,
+    KAPPA_XY,
+    KAPPA_Z,
+    MOB_XY,
+    MOB_Z,
     N_VARS,
+    RHO_A,
     RHO_V,
     RV_H,
     RV_T,
     STATE_SCALE,
+    TEMP,
     PressSystem,
     derive_thermo,
     pack_state,
     state_fields,
     tau_supg,
-    vapor_density_partials,
 )
 from .mesh import QuadratureRule, build_graded_mesh, element_geometry
 from .properties import (
@@ -102,10 +110,10 @@ class CheckResult:
 class FrozenCoefficientSystem(PressSystem):
     """``system`` with every coefficient evaluated at the state ``u_ref``.
 
-    The residual becomes affine in the state: the transported vapor
-    density is linearized about ``u_ref`` and the rim targets are held at
-    their ``u_ref`` values.  Used by the exact-linearity and
-    single-Newton-step tests.
+    The residual becomes affine in the state: T and rho_a are taken from
+    the state, the transported vapor density is linearized about
+    ``u_ref`` and the rim targets are held at their ``u_ref`` values.
+    Used by the exact-linearity and single-Newton-step tests.
     """
 
     def __init__(self, system, u_ref):
@@ -118,8 +126,9 @@ class FrozenCoefficientSystem(PressSystem):
         self._rim_ref = super()._rim_targets(u_ref)
 
     def nodal_state(self, u):
-        t_c, h, _ = state_fields(u)
+        t_c, h, rho_a = state_fields(u)
         s = self._ref.copy()
+        s[:, TEMP], s[:, RHO_A] = t_c, rho_a
         s[:, RHO_V] = s[:, RHO_V] + s[:, RV_T] * (t_c - self._t_ref) \
             + s[:, RV_H] * (h - self._h_ref)
         return s
@@ -135,7 +144,8 @@ class ManufacturedSystem(PressSystem):
     that makes ``solution`` satisfy the equations is injected, and the
     streamline stabilization can be switched off.  The rim is sealed and
     the platen schedule unused: the boundary values come from the
-    solution.
+    solution.  Source and boundary values depend on the time alone, so
+    each is tabulated per time, in ``sources`` and ``targets``.
     """
 
     def __init__(self, mesh, params, solution, stabilization=True):
@@ -148,6 +158,7 @@ class ManufacturedSystem(PressSystem):
             N_VARS * nodes[:, None] + np.arange(N_VARS)[None, :]
         ).ravel()
         self.sources = {}
+        self.targets = {}
 
     def source(self, t):
         """Manufactured source at time t, shape (n_el, n_gp, 3), from the
@@ -163,10 +174,14 @@ class ManufacturedSystem(PressSystem):
         return self.boundary_dofs
 
     def constraint_targets(self, u, t):
-        return self.solution.state(self.mesh, t)[self.boundary_dofs]
+        """The solution's boundary values at time t, from the table
+        ``targets``, filled on demand as ``sources`` is."""
+        if t not in self.targets:
+            self.targets[t] = self.solution.state(self.mesh, t)[self.boundary_dofs]
+        return self.targets[t]
 
-    def element_residual(self, ue, due, t, corners):
-        re = super().element_residual(ue, due, t, corners)
+    def element_residual(self, due, t, corners):
+        re = super().element_residual(due, t, corners)
         return re - (self.n_test @ self.source(t)) * self.row_scale
 
     def _supg_tau(self, vel, *args):
@@ -262,8 +277,8 @@ def _pointwise_flux(system, sol, r, z, t):
     eps = system.epsilon
     tf, hf, af = sol.t_field, sol.h_field, sol.a_field
     tv, hv, av = tf(r, z, t), hf(r, z, t), af(r, z, t)
-    th = derive_thermo(tv, hv, av, p, eps)
-    rv_t, rv_h = vapor_density_partials(tv, hv, th.hr, p)
+    th = derive_thermo(tv, hv, av, p)
+    rv, rv_t, rv_h = th[..., RHO_V], th[..., RV_T], th[..., RV_H]
 
     gt_r, gt_z = tf.d_r(r, z, t), tf.d_z(r, z, t)
     gh_r, gh_z = hf.d_r(r, z, t), hf.d_z(r, z, t)
@@ -277,18 +292,18 @@ def _pointwise_flux(system, sol, r, z, t):
     gp_r = dpair_dt * gt_r + dpair_da * ga_r + grv_r / _RV_PER_PV
     gp_z = dpair_dt * gt_z + dpair_da * ga_z + grv_z / _RV_PER_PV
 
-    v_r = -(th.perm_xy / th.viscosity) * gp_r
-    v_z = -(th.perm_z / th.viscosity) * gp_z
-    eps_d = eps * th.diffusivity
+    v_r = -th[..., MOB_XY] * gp_r
+    v_z = -th[..., MOB_Z] * gp_z
+    eps_d = eps * th[..., DIFFUSIVITY]
 
     f = np.empty(np.shape(tv) + (3, 2))
-    f[..., 0, 0] = th.kappa_xy * gt_r
-    f[..., 0, 1] = th.kappa_z * gt_z
-    f[..., 1, 0] = eps_d * grv_r - v_r * th.rho_v
-    f[..., 1, 1] = eps_d * grv_z - v_z * th.rho_v
+    f[..., 0, 0] = th[..., KAPPA_XY] * gt_r
+    f[..., 0, 1] = th[..., KAPPA_Z] * gt_z
+    f[..., 1, 0] = eps_d * grv_r - v_r * rv
+    f[..., 1, 1] = eps_d * grv_z - v_z * rv
     f[..., 2, 0] = eps_d * ga_r - v_r * av
     f[..., 2, 1] = eps_d * ga_z - v_z * av
-    adv_t = th.rho_v * p.cp_vapor * (v_r * gt_r + v_z * gt_z)
+    adv_t = rv * p.cp_vapor * (v_r * gt_r + v_z * gt_z)
     return f, adv_t
 
 
@@ -297,15 +312,14 @@ def _storage_terms(system, sol, r, z, t):
     p = system.params
     eps = system.epsilon
     tf, hf, af = sol.t_field, sol.h_field, sol.a_field
-    tv, hv = tf(r, z, t), hf(r, z, t)
-    th = derive_thermo(tv, hv, af(r, z, t), p, eps)
-    rv_t, rv_h = vapor_density_partials(tv, hv, th.hr, p)
+    th = derive_thermo(tf(r, z, t), hf(r, z, t), af(r, z, t), p)
     dt_dt = tf.d_t(r, z, t)
     dh_dt = hf.d_t(r, z, t)
     da_dt = af.d_t(r, z, t)
-    mdot = eps * (rv_t * dt_dt + rv_h * dh_dt) - (p.rho_s / 100.0) * dh_dt
-    out = np.empty(np.shape(tv) + (3,))
-    out[..., 0] = p.rho_s * th.cp * dt_dt + (th.latent + th.sorption) * mdot
+    mdot = eps * (th[..., RV_T] * dt_dt + th[..., RV_H] * dh_dt) \
+        - (p.rho_s / 100.0) * dh_dt
+    out = np.empty(np.shape(dt_dt) + (3,))
+    out[..., 0] = p.rho_s * th[..., CP] * dt_dt + th[..., HEAT] * mdot
     out[..., 1] = (p.rho_s / 100.0) * dh_dt
     out[..., 2] = eps * da_dt
     return out

@@ -78,70 +78,141 @@ class TestDerivedState:
         """T=30, H=11 (the calibration anchor), near-vacuum air."""
         th = asm.derive_thermo(30.0, 11.0, 1e-6, params)
         psat = props.saturated_vapor_pressure(30.0)
-        assert th.hr == pytest.approx(65.0, abs=1e-9)
-        assert th.p_vapor == pytest.approx(0.65 * psat, rel=1e-12)
-        assert th.rho_v == pytest.approx(6.0e-8 * psat * 65.0, rel=1e-12)
-        # ideal gas: P_a = rho_a R T / mm
-        assert th.p_air == pytest.approx(1e-6 * 8314.0 * 303.15 / 28.96, rel=1e-12)
-        assert th.p_total == pytest.approx(th.p_air + th.p_vapor, rel=1e-12)
+        assert th[asm.P_VAPOR] == pytest.approx(0.65 * psat, rel=1e-12)
+        assert th[asm.RHO_V] == pytest.approx(6.0e-8 * psat * 65.0, rel=1e-12)
+        p_air = 1e-6 * 8314.0 * 303.15 / 28.96
+        assert th[asm.P_TOTAL] == pytest.approx(p_air + th[asm.P_VAPOR],
+                                                rel=1e-12)
+        assert th[asm.TEMP] == 30.0 and th[asm.RHO_A] == 1e-6
+        # ideal gas: P_a = rho_a R T / mm, alone in dry air
+        dry = asm.derive_thermo(30.0, 0.0, 1e-6, params)
+        assert dry[asm.P_TOTAL] == pytest.approx(p_air, rel=1e-12)
 
     def test_dry_vacuum_state_evaluable(self, params):
         th = asm.derive_thermo(25.0, 0.0, 0.0, params)
-        assert th.hr == 0.0
-        assert th.rho_v == 0.0
-        assert th.p_total == 0.0
-        assert np.isfinite(th.diffusivity) and th.diffusivity > 0.0
+        assert th[asm.P_VAPOR] == 0.0
+        assert th[asm.RHO_V] == 0.0
+        assert th[asm.P_TOTAL] == 0.0
+        assert np.isfinite(th[asm.DIFFUSIVITY]) and th[asm.DIFFUSIVITY] > 0.0
 
     def test_moisture_clamped_for_constitutive_laws(self, params):
         th_neg = asm.derive_thermo(50.0, -1e-8, 0.5, params)
         th_zero = asm.derive_thermo(50.0, 0.0, 0.5, params)
-        assert th_neg.hr == th_zero.hr
-        assert th_neg.sorption == th_zero.sorption
+        assert th_neg[asm.RHO_V] == th_zero[asm.RHO_V]
+        assert th_neg[asm.HEAT] == th_zero[asm.HEAT]
+        # below zero moisture the vapor density no longer follows H
+        assert th_neg[asm.RV_H] == 0.0 < th_zero[asm.RV_H]
 
-    def test_porosity_comes_from_params(self, params):
-        th = asm.derive_thermo(30.0, 11.0, 1.0, params)
-        assert th.epsilon == pytest.approx(params.porosity_value(), rel=1e-14)
+    def test_porosity_comes_from_params(self, open_system, params):
+        assert open_system.epsilon == pytest.approx(params.porosity_value(),
+                                                    rel=1e-14)
+        assert open_system.row_scale[asm.IDX_A] == 1.0 / open_system.epsilon
 
     def test_vectorized_matches_scalar(self, params):
         t = np.array([30.0, 80.0, 140.0])
         h = np.array([11.0, 6.0, 2.0])
         a = np.array([1e-6, 0.4, 1.1])
         th = asm.derive_thermo(t, h, a, params)
+        assert th.shape == (3, asm.N_NODAL)
         for i in range(3):
             ths = asm.derive_thermo(t[i], h[i], a[i], params)
-            assert th.p_total[i] == pytest.approx(ths.p_total, rel=1e-13)
-            assert th.rho_v[i] == pytest.approx(ths.rho_v, rel=1e-13)
-            assert th.cp[i] == pytest.approx(ths.cp, rel=1e-13)
+            assert th[i] == pytest.approx(ths, rel=1e-13)
+
+    def test_columns_match_the_correlations(self, params):
+        """Every column of the nodal state is the value composed from the
+        public correlations, over moisture below zero and at or above
+        saturation, temperatures at the ends of and beyond the isotherm's
+        clamp, and near-vacuum to atmospheric air."""
+        iso = params.isotherm
+        t = np.array([0.2, 1.0, 30.0, 60.0, 100.0, 114.0, 116.0, 150.0, 190.0])
+        h = np.array([-0.3, 0.0, 40.0, 9.0, 3.0, 10.0, 10.0, 2.0, 0.5])
+        a = np.array([1e-6, 1.2, 0.6, 1.19, 0.0, 0.3, 0.3, 1e-4, 0.9])
+        h = np.append(h, iso.emc(t, 100.0))         # exactly saturated
+        t, a = np.tile(t, 2), np.tile(a, 2)
+        assert (h < 0.0).any() and (t < 1.0).any() and (t > 115.0).any()
+
+        system = asm.PressSystem(hm.build_graded_mesh(1.0, 1.0, len(t) - 1, 1,
+                                                      1.0),
+                                 params, lambda s: 30.0, AMBIENT)
+        u = np.zeros(system.n_dofs)
+        u[:3 * len(t)] = asm.pack_state(t, h, a)
+        s = system.nodal_state(u)[:len(t)]
+
+        h0 = np.maximum(h, 0.0)
+        hr, hr_t, hr_h = iso.hr_from_emc(t, h0)
+        assert (hr == 100.0).any() and (hr < 100.0).any()
+        p_sat = props.saturated_vapor_pressure(t)
+        p_v = hr / 100.0 * p_sat
+        p_tot = a * params.r_gas * (t + props.KELVIN) / params.mm_air + p_v
+        kappa_z = props.thermal_conductivity_z(t, h0, params.rho_s)
+        k_z = props.vertical_permeability(params.rho_s, params)
+        mu = props.gas_viscosity(t)
+        expect = {
+            asm.P_TOTAL: p_tot, asm.TEMP: t, asm.RHO_A: a,
+            asm.RHO_V: props.vapor_density(p_sat, hr),
+            asm.RHO_V_ADV: props.vapor_density(p_sat, hr),
+            asm.P_VAPOR: p_v,
+            asm.RV_T: props.vapor_density(
+                props.saturated_vapor_pressure_slope(t, p_sat), hr)
+            + props.vapor_density(p_sat, hr_t),
+            asm.RV_H: props.vapor_density(p_sat, np.where(h < 0.0, 0.0, hr_h)),
+            asm.KAPPA_Z: kappa_z,
+            asm.KAPPA_XY: props.thermal_conductivity_xy(
+                kappa_z, params.kappa_anisotropy),
+            asm.MOB_Z: k_z / mu,
+            asm.MOB_XY: props.horizontal_permeability(
+                k_z, params.perm_anisotropy) / mu,
+            asm.DIFFUSIVITY: props.steam_air_diffusivity(
+                np.maximum(p_tot, asm.PRESSURE_FLOOR), t + props.KELVIN),
+            asm.CP: props.specific_heat(t + props.KELVIN, h0 / 100.0),
+            asm.HEAT: props.latent_heat(t) + props.sorption_heat(h0),
+        }
+        assert sorted(expect) == list(range(asm.N_NODAL))
+        for col, value in expect.items():
+            np.testing.assert_allclose(s[:, col], value, rtol=1e-13, atol=0.0,
+                                       err_msg=f"column {col}")
 
 
 class TestVaporDensityPartials:
     def test_signs(self, params):
         th = asm.derive_thermo(80.0, 8.0, 0.5, params)
-        dt, dh = asm.vapor_density_partials(80.0, 8.0, th.hr, params)
-        assert dt > 0.0, "vapor density must rise with temperature"
-        assert dh > 0.0, "vapor density must rise with moisture below saturation"
+        assert th[asm.RV_T] > 0.0, "vapor density must rise with temperature"
+        assert th[asm.RV_H] > 0.0, \
+            "vapor density must rise with moisture below saturation"
 
     def test_matches_coarse_difference(self, params):
         def rho_v(t, h):
-            return asm.derive_thermo(t, h, 0.5, params).rho_v
+            return asm.derive_thermo(t, h, 0.5, params)[asm.RHO_V]
 
         step = 1e-4
-        # below the isotherm's temperature clamp, above it, and saturated
-        for t0, h0 in ((70.0, 9.0), (130.0, 10.0), (30.0, 40.0)):
-            hr = asm.derive_thermo(t0, h0, 0.5, params).hr
-            dt_exact, dh_exact = asm.vapor_density_partials(t0, h0, hr, params)
+        # below the isotherm's temperature clamp, above it, saturated, and
+        # near both ends of the clamp range
+        for t0, h0 in ((70.0, 9.0), (130.0, 10.0), (30.0, 40.0), (0.5, 8.0),
+                       (114.0, 10.0), (60.0, 0.01)):
+            th = asm.derive_thermo(t0, h0, 0.5, params)
+            dt_exact, dh_exact = th[asm.RV_T], th[asm.RV_H]
             dt_coarse = (rho_v(t0 + step, h0) - rho_v(t0 - step, h0)) / (2 * step)
             dh_coarse = (rho_v(t0, h0 + step) - rho_v(t0, h0 - step)) / (2 * step)
             assert dt_exact == pytest.approx(dt_coarse, rel=1e-6), (t0, h0)
-            if hr < 100.0:
+            if th[asm.P_VAPOR] < props.saturated_vapor_pressure(t0):
                 assert dh_exact == pytest.approx(dh_coarse, rel=1e-6), (t0, h0)
                 continue
             # saturated: both slopes of the humidity vanish, so rho_v follows
             # P_sat(T) alone and does not depend on H
-            assert params.isotherm.hr_slopes(t0, hr) == (0.0, 0.0)
+            assert params.isotherm.hr_from_emc(t0, h0)[1:] \
+                == (0.0, 0.0)
             assert dh_exact == 0.0 and dh_coarse == 0.0
             assert dt_exact == pytest.approx(props.vapor_density(
-                props.saturated_vapor_pressure_slope(t0), 100.0), rel=1e-14)
+                props.saturated_vapor_pressure_slope(
+                    t0, props.saturated_vapor_pressure(t0)), 100.0), rel=1e-14)
+
+    def test_kink_at_the_isotherm_clamp(self, params):
+        """d(rho_v)/dT falls by 12 % across the 115 degC clamp at H = 10 %,
+        as the isotherm's docstring states."""
+        below, above = (asm.derive_thermo(t, 10.0, 0.5, params)[asm.RV_T]
+                        for t in (114.999, 115.001))
+        assert below == pytest.approx(0.032584, rel=1e-5)
+        assert above == pytest.approx(0.028606, rel=1e-5)
 
 
 class TestDarcyVelocity:
@@ -261,8 +332,7 @@ class TestResidual:
                            0.2 + 0.9 * r**2 + 0.3 * z)
         open_system.apply_dirichlet(u, 10.0)  # ambient rim, 30 degC platen
         corners = open_system.nodal_state(u)[mesh.elements]
-        re = open_system.element_residual(open_system._gather(u), None, 10.0,
-                                          corners)
+        re = open_system.element_residual(None, 10.0, corners)
         for c in (asm.IDX_H, asm.IDX_A):
             scale = np.abs(re[:, :, c]).max()
             assert scale > 0.0
@@ -331,9 +401,8 @@ class TestResidual:
             spatial[asm.IDX_H::3]).max(), "moisture rows should vanish"
 
         th = asm.derive_thermo(100.0, 11.0, 0.5, params)
-        _, rv_h = asm.vapor_density_partials(100.0, 11.0, th.hr, params)
-        expect = (th.latent + th.sorption) * (
-            system.epsilon * rv_h - params.rho_s / 100.0) * dh_dt * omega
+        expect = th[asm.HEAT] * (
+            system.epsilon * th[asm.RV_H] - params.rho_s / 100.0) * dh_dt * omega
         energy = r_full[asm.IDX_T::3] / scale[asm.IDX_T]
         free = np.setdiff1d(np.arange(n), system.platen_nodes)
         err = np.abs(energy[free] - expect[free]).max()

@@ -176,7 +176,7 @@ class TestSorptionIsotherm:
         assert params.isotherm.emc(30.0, 65.0) == pytest.approx(11.0, abs=1e-9)
 
     def test_dry_limit(self, params):
-        assert params.isotherm.hr_from_emc(30.0, 0.0) == pytest.approx(0.0, abs=1e-9)
+        assert params.isotherm.hr_from_emc(30.0, 0.0)[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_round_trip(self, params):
         iso = params.isotherm
@@ -184,7 +184,7 @@ class TestSorptionIsotherm:
         for t_c in (5.0, 30.0, 70.0, 110.0, 130.0, 160.0):
             near_sat = iso.emc(t_c, 100.0) * (1.0 - 1e-9)
             for h in (2.0, 6.0, 11.0, 15.0, near_sat):
-                hr = iso.hr_from_emc(t_c, h)
+                hr = iso.hr_from_emc(t_c, h)[0]
                 assert hr < 100.0
                 assert iso.emc(t_c, hr) == pytest.approx(h, abs=1e-10), (
                     f"round trip failed at T={t_c}, H={h}"
@@ -196,7 +196,7 @@ class TestSorptionIsotherm:
     def test_inverse_property(self, params, t_c, h1, h2):
         iso = params.isotherm
         lo, hi = sorted((h1, h2))
-        hr_lo, hr_hi = iso.hr_from_emc(t_c, lo), iso.hr_from_emc(t_c, hi)
+        hr_lo, hr_hi = iso.hr_from_emc(t_c, lo)[0], iso.hr_from_emc(t_c, hi)[0]
         saturated = iso.emc(t_c, 100.0)
         for h, hr in ((lo, hr_lo), (hi, hr_hi)):
             assert 0.0 <= hr <= 100.0
@@ -207,7 +207,7 @@ class TestSorptionIsotherm:
         iso = params.isotherm
         for t_c in (10.0, 40.0, 90.0):
             h = np.linspace(0.5, 18.0, 60)
-            hr = iso.hr_from_emc(np.full_like(h, t_c), h)
+            hr = iso.hr_from_emc(np.full_like(h, t_c), h)[0]
             assert np.all(np.diff(hr) > 0), f"HR(H) not increasing at T={t_c}"
 
     def test_surface_monotone_in_humidity(self, params):
@@ -225,7 +225,7 @@ class TestSorptionIsotherm:
         assert iso.emc(160.0, 50.0) > 0.0
 
     def test_saturated_input_returns_full_humidity(self, params):
-        assert params.isotherm.hr_from_emc(30.0, 40.0) == 100.0
+        assert params.isotherm.hr_from_emc(30.0, 40.0)[0] == 100.0
 
     def test_vectorized_matches_scalar(self, params):
         iso = params.isotherm
@@ -233,7 +233,8 @@ class TestSorptionIsotherm:
         h = np.array([4.0, 9.0, 13.0])
         vec = iso.hr_from_emc(t, h)
         for i in range(3):
-            assert vec[i] == pytest.approx(iso.hr_from_emc(t[i], h[i]), abs=1e-12)
+            assert [v[i] for v in vec] == pytest.approx(
+                iso.hr_from_emc(t[i], h[i]), abs=1e-12)
 
 
 class TestMaterialParams:
@@ -266,7 +267,7 @@ class TestMaterialParams:
         h = np.linspace(1.0, 15.0, 7)
         a = params.isotherm.hr_from_emc(t, h)
         b = params.isotherm.hr_from_emc(t, h)
-        assert np.array_equal(a, b)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 # documented input ranges of the correlations
@@ -321,4 +322,6 @@ class TestMonotoneCorrelations:
         step = 1e-3
         fd = (pr.saturated_vapor_pressure(t_c + step)
               - pr.saturated_vapor_pressure(t_c - step)) / (2.0 * step)
-        assert pr.saturated_vapor_pressure_slope(t_c) == pytest.approx(fd, rel=1e-6)
+        slope = pr.saturated_vapor_pressure_slope(
+            t_c, pr.saturated_vapor_pressure(t_c))
+        assert slope == pytest.approx(fd, rel=1e-6)

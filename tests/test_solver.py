@@ -11,7 +11,8 @@ from hotpress import mesh as hm
 from hotpress import solver as slv
 from hotpress.errors import LinearSolveError, NewtonError, StepError
 from hotpress.properties import HailwoodHorrobinIsotherm, MaterialParams
-from hotpress.scenario import build_system, humphrey_preset, initial_state
+from hotpress.scenario import build_system, humphrey_preset, initial_state, \
+    run_scenario
 from hotpress.solver import SolverConfig
 from hotpress.verification import FrozenCoefficientSystem
 
@@ -529,3 +530,38 @@ class TestRunTransient:
     def test_mean_newton_iters(self):
         res = slv.TransientResult(newton_iters=[3, 5, 4])
         assert res.mean_newton_iters == pytest.approx(4.0)
+
+
+class TestSealedExplicitRun:
+    """Forward Euler on the sealed 10 x 10 humphrey board at dt = 3e-5 s:
+    the free moisture rows conserve water, and each rate evaluation
+    evaluates the material laws once per node."""
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        sc = humphrey_preset()
+        return replace(sc, n_r=10, n_z=10, sealed_radius=True,
+                       solver=replace(sc.solver, scheme="explicit", dt=3e-5,
+                                      t_end=200 * 3e-5, output_times=()))
+
+    def test_lumped_water_kept_over_200_steps(self, scenario):
+        system, res = run_scenario(scenario, store_all=True)
+        assert len(res.dt_used) == 200
+        water = np.array([system.lumped_water(u) for u in res.states])
+        drift = float(np.max(np.abs(water - water[0])) / water[0])
+        assert drift <= 1e-12, f"sealed water drifted by {drift:.2e}"
+
+    def test_rates_invert_the_isotherm_once_per_node(self, scenario,
+                                                      monkeypatch):
+        system = build_system(scenario)
+        u = initial_state(scenario, system.mesh)
+        points = []
+        inverse = HailwoodHorrobinIsotherm.hr_from_emc
+
+        def counted(iso, t_c, h_pct):
+            points.append(np.size(h_pct))
+            return inverse(iso, t_c, h_pct)
+
+        monkeypatch.setattr(HailwoodHorrobinIsotherm, "hr_from_emc", counted)
+        system.ode_rates(u, 0.0)
+        assert points == [system.mesh.n_nodes]

@@ -220,6 +220,34 @@ class TestSourceTable:
         assert np.array_equal(src, vf.manufactured_source(system, sol, t))
 
 
+class TestTargetTable:
+    """The manufactured system tabulates its boundary values per time,
+    beside the source."""
+
+    def test_sweep_tabulates_every_step_time(self, temporal_sweep):
+        system, _ = temporal_sweep[2][0]
+        assert set(system.targets) == set(system.sources)
+
+    def test_targets_are_the_solution_on_the_boundary(self, temporal_sweep):
+        system, sol = temporal_sweep[2][0]
+        for t, target in system.targets.items():
+            assert np.array_equal(
+                target, sol.state(system.mesh, t)[system.boundary_dofs]), t
+
+    def test_missing_time_evaluated_on_demand(self, temporal_sweep):
+        system, sol = temporal_sweep[2][0]
+        t = 1.0 / 3.0
+        u = sol.state(system.mesh, 0.0)
+        assert t not in system.targets
+        try:
+            target = system.constraint_targets(u, t)
+            assert system.targets[t] is target
+        finally:
+            system.targets.pop(t, None)  # the table stays the sweep's
+        assert np.array_equal(
+            target, sol.state(system.mesh, t)[system.boundary_dofs])
+
+
 class TestConservationSuite:
     def test_small_case_passes(self, small_scenario):
         checks = vf.conservation_suite(scenario=small_scenario)
