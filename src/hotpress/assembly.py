@@ -445,11 +445,6 @@ class PressSystem:
             self.params.r_gas * (np.asarray(t_node, dtype=float) + KELVIN)
         )
 
-    def _rim_targets(self, u):
-        """(moisture, air density) targets of the rim nodes of ``u``."""
-        t_rim = u[self.rim_tdofs]
-        return self.rim_moisture_bc(t_rim), self.rim_air_bc(t_rim)
-
     def constrained_dofs(self):
         """Indices of all Dirichlet rows."""
         if self.sealed_radius:
@@ -462,7 +457,8 @@ class PressSystem:
         node only (``constraint_slopes`` relies on it)."""
         parts = [np.full(len(self.platen_tdofs), self.platen_temperature(t))]
         if not self.sealed_radius:
-            parts += self._rim_targets(u)
+            t_rim = u[self.rim_tdofs]
+            parts += [self.rim_moisture_bc(t_rim), self.rim_air_bc(t_rim)]
         return np.concatenate(parts)
 
     def constraint_slopes(self, u, t, eps_rel=1e-7):

@@ -28,8 +28,8 @@ of ``Mesh.dissection_order`` with the pivot threshold ``PIVOT_THRESH``.
 Unscaled, the Jacobian has diagonal entries down to 2e-7 of their
 column's largest, and SuperLU's partial pivoting leaves any
 fill-reducing order; scaled, it keeps this one, and the LU fill of a
-60 x 60 mesh is 1.6M entries against 4.0M with COLAMD on J.  Each solution
-is refined against the unscaled J (:class:`LUFactor`).
+60 x 60 mesh is 1.6M entries against 4.0M with COLAMD on J.  Each
+linear solve is one back-substitution (:class:`LUFactor`).
 
 The explicit scheme advances the closed-form lumped rates and then
 re-assigns the constrained values.  Both schemes integrate the same
@@ -56,10 +56,6 @@ from .errors import HotPressError, LinearSolveError, NewtonError, \
 
 # dt halvings of a failed implicit step before the run gives up
 MAX_HALVINGS = 5
-# iterative refinement of each linear solve: stop below this relative
-# residual, or after this many back-substitutions
-REFINE_TOL = 1e-12
-MAX_REFINE = 5
 # SuperLU's diagonal pivot threshold: the diagonal of each scaled Newton
 # matrix is 1, and a pivot at least this fraction of its column's largest
 # entry keeps the nested-dissection order (see LUFactor)
@@ -211,8 +207,7 @@ def fd_jacobian(system, u, t, dt, u_prev, eps_rel=1e-7):
 
 
 class LUFactor:
-    """Direct sparse factor of ``a`` in a nodal order, with iterative
-    refinement of every solve.
+    """Direct sparse factor of ``a`` in a nodal order.
 
     ``a`` is left-scaled by the inverse of its nodal diagonal blocks,
     ``D^-1 a``, so every diagonal entry is 1, and factored as
@@ -221,8 +216,7 @@ class LUFactor:
     pivot threshold, ``PIVOT_THRESH``, keeps that order; without the
     scaling, diagonal entries down to 2e-7 of their column send SuperLU's
     partial pivoting off any fill-reducing order.  The inverse blocks and
-    the LU are made once per factor; :meth:`solve` refines each solution
-    against the unscaled ``a``.
+    the LU are made once per factor.
 
     Parameters
     ----------
@@ -259,41 +253,24 @@ class LUFactor:
         except RuntimeError as exc:
             raise LinearSolveError(
                 f"sparse factorization failed: {exc}") from exc
-        self.a, self.dinv, self.dofs = a, dinv, order.dofs
-
-    def _apply(self, r):
-        """``a^-1 r`` from the factor alone."""
-        y = self.lu.solve(
-            (self.dinv @ r.reshape(len(self.dinv), -1, 1)).ravel()[self.dofs])
-        x = np.empty_like(y)
-        x[self.dofs] = y
-        return x
+        self.dinv, self.dofs = dinv, order.dofs
 
     def solve(self, b):
-        """``x`` with ``a x = b``, refined until the relative linear
-        residual drops below ``REFINE_TOL`` (a handful of cheap
-        back-substitutions), so the Newton updates are not limited by
-        factorization roundoff.
+        """``x`` with ``a x = b``: one back-substitution.  The scaled
+        factor is stable, so its solution already has the accuracy that
+        iterative refinement in working precision could give.
 
         Raises
         ------
         LinearSolveError
             If the solution has non-finite values.
         """
-        x = self._apply(b)
+        y = self.lu.solve(
+            (self.dinv @ b.reshape(len(self.dinv), -1, 1)).ravel()[self.dofs])
+        x = np.empty_like(y)
+        x[self.dofs] = y
         if not np.all(np.isfinite(x)):
             raise LinearSolveError("linear solve produced non-finite values")
-        b_norm = float(np.linalg.norm(b))
-        if b_norm == 0.0:
-            return np.zeros_like(b)
-        for _ in range(MAX_REFINE):
-            r = b - self.a @ x
-            if float(np.linalg.norm(r)) <= REFINE_TOL * b_norm:
-                break
-            dx = self._apply(r)
-            if not np.all(np.isfinite(dx)):
-                break
-            x = x + dx
         return x
 
 
@@ -448,11 +425,11 @@ def euler_update(u, rate, dt):
     return u + dt * rate
 
 
-def forward_euler_step(system, u, t, dt, a_tol=None):
+def forward_euler_step(system, u, t, dt):
     """Explicit step on the lumped rates, then re-assign constrained values."""
     u_new = euler_update(u, system.ode_rates(u, t), dt)
     system.apply_dirichlet(u_new, t + dt)
-    validate_state(u_new, a_tol=a_tol)
+    validate_state(u_new, a_tol=AIR_UNDERSHOOT_TOL)
     return u_new
 
 
@@ -543,8 +520,7 @@ def run_transient(system, u0, cfg, log=None):
                 u_before, u, step.dt_used, t_new)
             res.water_balance.append((t_new, storage, influx))
         else:
-            u = forward_euler_step(system, u, t, dt_step,
-                                   a_tol=AIR_UNDERSHOOT_TOL)
+            u = forward_euler_step(system, u, t, dt_step)
             t_new = t + dt_step
             res.dt_used.append(dt_step)
             emit(f"step t={t_new:.6g} dt={dt_step:.6g} scheme=explicit")

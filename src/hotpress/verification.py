@@ -121,9 +121,9 @@ class FrozenCoefficientSystem(PressSystem):
                          system.platen_temperature,
                          (system.t_atm, system.hr_atm, system.p_atm),
                          system.sealed_radius)
-        self._ref = super().nodal_state(u_ref)
-        self._t_ref, self._h_ref, _ = state_fields(np.array(u_ref, dtype=float))
-        self._rim_ref = super()._rim_targets(u_ref)
+        self._u_ref = np.array(u_ref, dtype=float)
+        self._ref = super().nodal_state(self._u_ref)
+        self._t_ref, self._h_ref, _ = state_fields(self._u_ref)
 
     def nodal_state(self, u):
         t_c, h, rho_a = state_fields(u)
@@ -133,8 +133,8 @@ class FrozenCoefficientSystem(PressSystem):
             + s[:, RV_H] * (h - self._h_ref)
         return s
 
-    def _rim_targets(self, u):
-        return self._rim_ref
+    def constraint_targets(self, u, t):
+        return super().constraint_targets(self._u_ref, t)
 
 
 class ManufacturedSystem(PressSystem):

@@ -14,7 +14,7 @@ import pytest
 from hotpress.assembly import P_VAPOR, state_fields
 from hotpress.mesh import EXTERNAL, PLATEN
 from hotpress.scenario import humphrey_preset, run_scenario
-from hotpress.solver import rms
+from hotpress.solver import LUFactor, fd_jacobian, rms
 from hotpress.verification import (
     conservation_suite,
     jacobian_suite,
@@ -30,6 +30,17 @@ def _report(name, ok, detail):
     line = f"{'PASS' if ok else 'FAIL'} {name}: {detail}"
     print(line)
     return line
+
+
+class _CountingLU:
+    """A SuperLU factor that counts its back-substitutions."""
+
+    def __init__(self, lu):
+        self.lu, self.solves = lu, 0
+
+    def solve(self, rhs):
+        self.solves += 1
+        return self.lu.solve(rhs)
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +172,34 @@ class TestAcceptance:
             f"{res.times[-1]:g} s while core H goes {h_peak:.3f} -> "
             f"{h_end:.3f} % and core P_v {pv_peak:.4e} -> {pv_end:.4e} N/m2")
         line = _report("temperature qualitative behavior", ok, detail)
+        assert ok, line
+
+    def test_one_back_substitution_at_hold_states(self, press_run):
+        """At hold states, where the linear residual of a solve cannot get
+        below about 1e-12 of the right-hand side, one back-substitution
+        through the factor matches a dense solve of the Newton matrix."""
+        system, res = press_run
+        times = np.array(res.times)
+        rng = np.random.default_rng(20261019)
+        worst, counts = 0.0, []
+        for t in (62.0, 80.0, 200.0):
+            i = int(np.argmin(np.abs(times - t)))
+            jac = fd_jacobian(system, res.states[i], times[i],
+                              times[i] - times[i - 1], res.states[i - 1])
+            factor = LUFactor(jac, system.newton_order)
+            factor.lu = _CountingLU(factor.lu)
+            b = rng.standard_normal(system.n_dofs)
+            x = factor.solve(b)
+            dense = np.linalg.solve(jac.toarray(), b)
+            worst = max(worst, float(np.linalg.norm(x - dense)
+                                     / np.linalg.norm(dense)))
+            counts.append(factor.lu.solves)
+        ok = worst <= 1e-12 and counts == [1, 1, 1]
+        line = _report(
+            "linear solve at hold states", ok,
+            f"at t = 62, 80 and 200 s the factored solve is within "
+            f"{worst:.1e} of a dense solve (<= 1e-12) with "
+            f"{'/'.join(map(str, counts))} back-substitutions (1 each)")
         assert ok, line
 
     def test_manufactured_solution_convergence_orders(self):

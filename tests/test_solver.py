@@ -363,7 +363,7 @@ class TestLinearSolve:
         x = slv.linear_solve(sparse.csr_matrix(a), b)
         assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-10)
 
-    def test_refinement_reaches_tight_residual(self):
+    def test_poorly_scaled_matrix_reaches_tight_residual(self):
         rng = np.random.default_rng(9)
         n = 60
         a = sparse.random(n, n, density=0.1, random_state=9).toarray()
