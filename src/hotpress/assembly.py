@@ -51,7 +51,7 @@ residual reads two slices of the corners: the columns up to ``RHO_A``
 (P_total, T, rho_v, rho_a), whose gradients it takes with one product,
 and those up to ``MOB_Z``, whose values it interpolates with another.
 The finite-difference Jacobian splices corner rows from perturbed nodal
-states and sums its element blocks into the nodal blocks of
+states and sums its element blocks into the BSR nodal blocks of
 ``PressSystem.newton_order`` through ``PressSystem.element_slots``.
 ``PressSystem`` has no verification modes: the manufactured-solution and
 frozen-coefficient systems are subclasses in ``verification``.
@@ -62,7 +62,7 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import bsr_matrix, csc_matrix, csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix
 
 from . import mesh as hmesh
 from . import properties as props
@@ -75,6 +75,8 @@ IDX_T, IDX_H, IDX_A = 0, 1, 2
 # finite-difference scales per unknown type: relative steps bottom out at
 # these magnitudes so derivatives stay resolvable near zero values
 STATE_SCALE = np.array([1.0, 1.0, 0.1])  # degC, %, kg/m3
+# relative finite-difference step of the Jacobian and the constraint slopes
+FD_STEP_REL = 1e-7
 
 # interdiffusion needs a total pressure; keep the degenerate dry/vacuum
 # state evaluable without affecting any scenario-reachable state
@@ -82,14 +84,13 @@ PRESSURE_FLOOR = 100.0  # N/m2
 
 # Columns of the constitutive state, one row per node
 # (PressSystem.nodal_state), SI units.  TEMP and RHO_A repeat the state;
-# RHO_V is the vapor density the moisture flux carries and RHO_V_ADV the
-# one carrying sensible heat, equal except in the frozen-coefficient
-# system; RV_T, RV_H are d(rho_v)/dT and d(rho_v)/dH, MOB_* the gas
-# mobilities K/mu and HEAT the latent plus sorption heat.  The element
-# residual differentiates the columns up to RHO_A and interpolates those
-# up to MOB_Z, each as one slice; CP, HEAT are its storage slice.
-N_NODAL = 15
-(P_TOTAL, TEMP, RHO_V, RHO_A, KAPPA_XY, KAPPA_Z, DIFFUSIVITY, RHO_V_ADV,
+# RHO_V is the vapor density, which the gas carries with the moisture flux
+# and its sensible heat; RV_T, RV_H are d(rho_v)/dT and d(rho_v)/dH, MOB_*
+# the gas mobilities K/mu and HEAT the latent plus sorption heat.  The
+# element residual differentiates the columns up to RHO_A and interpolates
+# those up to MOB_Z, each as one slice; CP, HEAT are its storage slice.
+N_NODAL = 14
+(P_TOTAL, TEMP, RHO_V, RHO_A, KAPPA_XY, KAPPA_Z, DIFFUSIVITY,
  MOB_XY, MOB_Z, CP, HEAT, RV_T, RV_H, P_VAPOR) = range(N_NODAL)
 
 
@@ -109,51 +110,43 @@ def state_fields(u):
     return m[:, IDX_T], m[:, IDX_H], m[:, IDX_A]
 
 
-def fd_step(u, eps_rel):
+def fd_step(u, eps_rel=FD_STEP_REL):
     """Finite-difference step of every dof of ``u``: relative to the value,
     bottoming out at ``STATE_SCALE`` near zero."""
     return eps_rel * np.maximum(np.abs(u), np.tile(STATE_SCALE, u.size // N_VARS))
 
 
 class NodalOrder:
-    """A sparsity pattern seen as dense nodal blocks, and its layout in a
-    node order.
+    """The node-level pattern of a matrix of dense nodal blocks, and its
+    layout in a node order.
 
-    Unknown ``b*k + i`` is variable i of node k, with ``b = n //
-    len(node_order)`` variables per node.  The pattern is the canonical
-    CSR structure (``indptr``, ``indices``) of the matrices it serves;
-    every node's diagonal block belongs to it.  ``blocks(a)`` gathers such
-    a matrix into its nodal blocks, ``(n_blocks, b, b)`` with zeros where
-    the pattern has no entry, and ``slots`` is where each CSR entry lies in
-    them; ``block_row`` is the node of each block row, ``diag`` the index
-    of each node's diagonal block and ``block_of`` that of any node pair
-    of the pattern.  ``csc(blocks)``
-    lays blocks out as the CSC matrix ``P A P^T``, where ``(P x)[m] =
-    x[dofs[m]]`` and ``dofs`` keeps the unknowns of a node together in
-    ``node_order``.  The maps are built once, by sorting.
+    Unknown ``b*k + i`` is variable i of node k, with ``block`` = b
+    variables per node.  The pattern is the canonical BSR structure
+    (``indptr``, ``indices``) of the matrices it serves, one entry per
+    node pair, and holds every node's diagonal block; such a matrix keeps
+    its b x b blocks in ``data``, in pattern order.  ``block_row`` is the
+    node of each block row, ``diag`` the index of each node's diagonal
+    block and ``block_of`` that of any node pair of the pattern.
+    ``csc(blocks)`` lays blocks out as the CSC matrix ``P A P^T``, where
+    ``(P x)[m] = x[dofs[m]]`` and ``dofs`` keeps the unknowns of a node
+    together in ``node_order``.  The maps are built once, by sorting.
     """
 
-    def __init__(self, indptr, indices, node_order):
-        n, n_nodes = len(indptr) - 1, len(node_order)
-        b = n // n_nodes
-        if b * n_nodes != n:
-            raise ValueError(f"{n} unknowns do not split over {n_nodes} nodes")
+    def __init__(self, indptr, indices, node_order, block):
+        n_nodes, b = len(indptr) - 1, block
+        n = b * n_nodes
         self.indptr, self.indices = indptr, indices
-        rows = np.repeat(np.arange(n), np.diff(indptr))
-        keys = np.concatenate([(rows // b) * n_nodes + indices // b,
-                               np.arange(n_nodes) * (n_nodes + 1)])
-        pairs, pair_of = np.unique(keys, return_inverse=True)
-        self.slots = (pair_of[:len(rows)] * b + rows % b) * b + indices % b
-        self.pairs, self.n_nodes = pairs, n_nodes
-        self.block_row = pairs // n_nodes
-        self.diag = pair_of[len(rows):]
+        self.block_row = np.repeat(np.arange(n_nodes), np.diff(indptr))
+        self.pairs, self.n_nodes = self.block_row * n_nodes + indices, n_nodes
+        nodes = np.arange(n_nodes)
+        self.diag = self.block_of(nodes, nodes)
         self.dofs = (b * np.asarray(node_order)[:, None] + np.arange(b)).ravel()
 
         rank = np.empty(n_nodes, dtype=int)
-        rank[node_order] = np.arange(n_nodes)
+        rank[node_order] = nodes
         i, j = np.indices((b, b))
         new_rows = (b * rank[self.block_row][:, None, None] + i).ravel()
-        new_cols = (b * rank[pairs % n_nodes][:, None, None] + j).ravel()
+        new_cols = (b * rank[indices][:, None, None] + j).ravel()
         self.csc_order = np.argsort(new_cols * n + new_rows)
         self.csc_indices = new_rows[self.csc_order].astype(np.int32)
         self.csc_indptr = np.concatenate(
@@ -165,15 +158,6 @@ class NodalOrder:
     def block_of(self, row_nodes, col_nodes):
         """Index of the block of each node pair, which the pattern holds."""
         return np.searchsorted(self.pairs, row_nodes * self.n_nodes + col_nodes)
-
-    def blocks(self, a):
-        """Nodal blocks of the CSR matrix ``a``, which has this pattern."""
-        if not (np.array_equal(a.indptr, self.indptr)
-                and np.array_equal(a.indices, self.indices)):
-            raise ValueError("matrix does not have the pattern of this order")
-        out = np.zeros((len(self.block_row), self.block, self.block))
-        out.ravel()[self.slots] = a.data
-        return out
 
     def csc(self, blocks):
         """``P A P^T`` in CSC form, from the nodal blocks of A."""
@@ -250,7 +234,7 @@ def derive_thermo(t_c, h_pct, rho_a, params):
     s = np.empty(t_c.shape + (N_NODAL,))
     s[..., TEMP], s[..., RHO_A] = t_c, rho_a
     s[..., P_VAPOR] = (hr / 100.0) * p_sat
-    s[..., RHO_V] = s[..., RHO_V_ADV] = props.vapor_density(p_sat, hr)
+    s[..., RHO_V] = props.vapor_density(p_sat, hr)
     s[..., RV_T], s[..., RV_H] = vapor_density_partials(
         p_sat, props.saturated_vapor_pressure_slope(t_c, p_sat), hr, hr_t,
         np.where(h_pct < 0.0, 0.0, hr_h))
@@ -403,19 +387,16 @@ class PressSystem:
 
     @cached_property
     def newton_order(self):
-        """The :class:`NodalOrder` of the Newton matrix: every dof couples
-        to the dofs of the nodes it shares an element with, and the nodes
-        go in the mesh's nested-dissection order.  Built at the first
-        linear solve, once per system."""
+        """The :class:`NodalOrder` of the Newton matrix: a 3x3 block for
+        each pair of nodes that share an element, and the nodes in the
+        mesh's nested-dissection order.  Built at the first linear solve,
+        once per system."""
         elements, n_nodes = self.mesh.elements, self.mesh.n_nodes
         nodes = csr_matrix((np.ones(elements.size * 4), (
             np.repeat(elements, 4, axis=1).ravel(), np.tile(elements, 4).ravel()
         )), shape=(n_nodes, n_nodes))
-        pattern = bsr_matrix(
-            (np.ones((nodes.nnz, N_VARS, N_VARS)), nodes.indices, nodes.indptr),
-            shape=(self.n_dofs, self.n_dofs)).tocsr()
-        return NodalOrder(pattern.indptr, pattern.indices,
-                          self.mesh.dissection_order())
+        return NodalOrder(nodes.indptr, nodes.indices,
+                          self.mesh.dissection_order(), N_VARS)
 
     @cached_property
     def element_slots(self):
@@ -461,13 +442,13 @@ class PressSystem:
             parts += [self.rim_moisture_bc(t_rim), self.rim_air_bc(t_rim)]
         return np.concatenate(parts)
 
-    def constraint_slopes(self, u, t, eps_rel=1e-7):
+    def constraint_slopes(self, u, t):
         """Derivatives of ``constraint_targets`` with respect to each
         variable of the constrained dof's own node, shape (n_dofs, 3) and
         zero on free rows: one centered difference per variable, every
         node stepped at once by ``fd_step``."""
         dofs = self.constrained_dofs()
-        delta = fd_step(u, eps_rel)
+        delta = fd_step(u)
         slopes = np.zeros((self.n_dofs, N_VARS))
         for c in range(N_VARS):
             step = np.zeros_like(u)
@@ -536,7 +517,7 @@ class PressSystem:
         p = self.params
         val, grad, vel = self._at_gauss(corners)
         eps_d = self.epsilon * val[..., DIFFUSIVITY]
-        heat_adv = val[..., RHO_V_ADV] * p.cp_vapor           # rho_v,adv cp_vapor
+        heat_adv = val[..., RHO_V] * p.cp_vapor               # rho_v cp_vapor
         tau = self._supg_tau(vel, val[..., KAPPA_XY:KAPPA_Z + 1], eps_d, heat_adv)
 
         # dN_a pairs with F and, through the streamline test function

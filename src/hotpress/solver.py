@@ -7,9 +7,9 @@ Implicit (backward Euler) stepping solves
 by Newton iteration with a finite-difference Jacobian spliced from four
 nodal constitutive states: twelve perturbed element-residual evaluations
 (one per local dof) plus the base, summed straight into the 3x3 nodal
-blocks of the Newton matrix's fixed pattern.  At dt = inf the rate
-(v - u_n)/dt and its perturbation vanish, so the same Newton loop solves
-the steady problem ``R_spatial(v) = 0``.
+blocks of the Newton matrix, a BSR matrix of fixed pattern.  At dt = inf
+the rate (v - u_n)/dt and its perturbation vanish, so the same Newton
+loop solves the steady problem ``R_spatial(v) = 0``.
 
 The factored Newton matrix is kept, within a solve and from one step to
 the next, while the iterations it serves contract (chord iterations;
@@ -47,7 +47,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import bsr_matrix, csr_matrix
 from scipy.sparse.linalg import splu
 
 from .assembly import N_VARS, NodalOrder, fd_step, validate_state
@@ -101,8 +101,6 @@ class SolverConfig:
         Iteration cap per implicit step before the step size is halved.
         Every linear solve counts, those with a lagged factor and those
         whose update is dropped included.
-    fd_epsilon_rel : float
-        Relative perturbation for the finite-difference Jacobian.
     store_all : bool
         Keep every accepted state in memory (needed for trajectory
         diagnostics; off by default to bound memory).
@@ -115,7 +113,6 @@ class SolverConfig:
     newton_tol_rel: float = 1e-10
     newton_tol_abs: float = 5e-14
     newton_max_iter: int = 15
-    fd_epsilon_rel: float = 1e-7
     store_all: bool = False
 
     def __post_init__(self):
@@ -126,7 +123,7 @@ class SolverConfig:
                 f"scheme must be 'implicit' or 'explicit', got {self.scheme!r}")
         if not (np.isfinite(self.t_end) and self.t_end >= 0.0):
             raise ScenarioError("t_end must be non-negative")
-        for name in ("newton_tol_rel", "newton_tol_abs", "fd_epsilon_rel"):
+        for name in ("newton_tol_rel", "newton_tol_abs"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ScenarioError(f"{name} must lie in (0, 1)")
@@ -147,9 +144,10 @@ def rms(v):
     return float(np.sqrt(np.mean(np.square(v))))
 
 
-def fd_jacobian(system, u, t, dt, u_prev, eps_rel=1e-7):
-    """Sparse Jacobian of the residual by finite differences spliced from
-    four nodal states, in the pattern of ``system.newton_order``.
+def fd_jacobian(system, u, t, dt, u_prev):
+    """Jacobian of the residual by finite differences spliced from four
+    nodal states: a BSR matrix of 3x3 nodal blocks in the pattern of
+    ``system.newton_order``.
 
     Differentiates the implicit map ``G(u) = residual(u, (u - u_prev)/dt,
     t)``: each state step ``fd_step`` also steps the rate by delta/dt.  At
@@ -167,7 +165,7 @@ def fd_jacobian(system, u, t, dt, u_prev, eps_rel=1e-7):
     of its target, in its node's diagonal block.
     """
     elements = system.mesh.elements
-    delta = fd_step(u, eps_rel)
+    delta = fd_step(u)
     due = (system._gather(u) - system._gather(u_prev)) / dt
     de = system._gather(delta)
     rate_pert = 1.0 / dt
@@ -201,9 +199,8 @@ def fd_jacobian(system, u, t, dt, u_prev, eps_rel=1e-7):
     ).reshape(-1, N_VARS, N_VARS)
     node, var = np.divmod(constrained, N_VARS)
     nodal[order.diag[node], var] = np.eye(N_VARS)[var] \
-        - system.constraint_slopes(u, t, eps_rel)[constrained]
-    return csr_matrix((nodal.ravel()[order.slots], order.indices,
-                       order.indptr), shape=order.shape)
+        - system.constraint_slopes(u, t)[constrained]
+    return bsr_matrix((nodal, order.indices, order.indptr), shape=order.shape)
 
 
 class LUFactor:
@@ -221,32 +218,41 @@ class LUFactor:
     Parameters
     ----------
     a : sparse matrix
-        CSR, with the pattern of ``order``.
+        BSR, with the block size and pattern of ``order``.
     order : NodalOrder, optional
         Pattern, nodal blocks and node order of ``a``, as
         ``PressSystem.newton_order`` gives them.  By default every unknown
-        is its own node, in natural order.
+        is its own node, in natural order, and ``a`` may be any sparse
+        matrix: it is taken as 1x1 blocks with its diagonal stored.
 
     Raises
     ------
+    ValueError
+        If ``a`` does not have the block size and pattern of ``order``.
     LinearSolveError
         If ``a`` has a non-finite entry or a singular nodal block, or if
         factorization fails.
     """
 
     def __init__(self, a, order=None):
-        a = a.tocsr()
         if order is None:
-            a.sum_duplicates()
-            order = NodalOrder(a.indptr, a.indices, np.arange(a.shape[0]))
+            # a missing diagonal entry is stored as a zero, a singular block
+            a, d = a.tocoo(), np.arange(a.shape[0])
+            a = csr_matrix((np.r_[a.data, 0.0 * d],
+                            (np.r_[a.row, d], np.r_[a.col, d])),
+                           shape=a.shape).tobsr((1, 1))
+            order = NodalOrder(a.indptr, a.indices, d, 1)
+        if not (a.format == "bsr" and a.blocksize == (order.block,) * 2
+                and np.array_equal(a.indptr, order.indptr)
+                and np.array_equal(a.indices, order.indices)):
+            raise ValueError("matrix does not have the pattern of this order")
         if not np.all(np.isfinite(a.data)):
             raise LinearSolveError("matrix has non-finite entries")
-        blocks = order.blocks(a)
         try:
-            dinv = np.linalg.inv(blocks[order.diag])
+            dinv = np.linalg.inv(a.data[order.diag])
         except np.linalg.LinAlgError as exc:
             raise LinearSolveError(f"singular nodal block: {exc}") from exc
-        scaled = order.csc(dinv[order.block_row] @ blocks)
+        scaled = order.csc(dinv[order.block_row] @ a.data)
         try:
             self.lu = splu(scaled, permc_spec="NATURAL",
                            diag_pivot_thresh=PIVOT_THRESH)
@@ -349,7 +355,7 @@ def newton_solve(system, u_prev, dt, t_new, cfg, lagged=None):
         fresh = lagged.factor is None
         if fresh:
             lagged.factor = LUFactor(
-                fd_jacobian(system, v, t_new, dt, u_prev, cfg.fd_epsilon_rel),
+                fd_jacobian(system, v, t_new, dt, u_prev),
                 system.newton_order)
             lagged.dt = dt
             lagged.builds += 1

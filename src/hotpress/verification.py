@@ -31,6 +31,7 @@ from .assembly import (
     CP,
     DIFFUSIVITY,
     HEAT,
+    IDX_T,
     KAPPA_XY,
     KAPPA_Z,
     MOB_XY,
@@ -111,9 +112,10 @@ class FrozenCoefficientSystem(PressSystem):
     """``system`` with every coefficient evaluated at the state ``u_ref``.
 
     The residual becomes affine in the state: T and rho_a are taken from
-    the state, the transported vapor density is linearized about
-    ``u_ref`` and the rim targets are held at their ``u_ref`` values.
-    Used by the exact-linearity and single-Newton-step tests.
+    the state, the vapor density is linearized about ``u_ref`` in the
+    fluxes and held at ``u_ref`` in the convected heat, and the rim
+    targets are held at their ``u_ref`` values.  Used by the
+    exact-linearity and single-Newton-step tests.
     """
 
     def __init__(self, system, u_ref):
@@ -135,6 +137,15 @@ class FrozenCoefficientSystem(PressSystem):
 
     def constraint_targets(self, u, t):
         return super().constraint_targets(self._u_ref, t)
+
+    def element_residual(self, due, t, corners):
+        """The energy row with the vapor density of ``u_ref``: that row
+        reads it only in the convected heat, a term of no other row."""
+        re = super().element_residual(due, t, corners)
+        held = corners.copy()
+        held[..., RHO_V] = self._ref[self.mesh.elements, RHO_V]
+        re[..., IDX_T] = super().element_residual(due, t, held)[..., IDX_T]
+        return re
 
 
 class ManufacturedSystem(PressSystem):

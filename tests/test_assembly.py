@@ -150,7 +150,6 @@ class TestDerivedState:
         expect = {
             asm.P_TOTAL: p_tot, asm.TEMP: t, asm.RHO_A: a,
             asm.RHO_V: props.vapor_density(p_sat, hr),
-            asm.RHO_V_ADV: props.vapor_density(p_sat, hr),
             asm.P_VAPOR: p_v,
             asm.RV_T: props.vapor_density(
                 props.saturated_vapor_pressure_slope(t, p_sat), hr)

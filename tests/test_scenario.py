@@ -82,7 +82,6 @@ class TestSolverConfig:
         assert cfg.dt == 1.0 and cfg.scheme == "implicit"
         assert cfg.newton_tol_rel == 1e-10
         assert cfg.newton_max_iter == 15
-        assert cfg.fd_epsilon_rel == 1e-7
 
     def test_output_times_sorted_and_deduplicated(self):
         cfg = SolverConfig(output_times=(400.0, 1.0, 10.0, 1.0))
@@ -213,7 +212,7 @@ def _scenarios(draw):
         newton_tol_rel=st.floats(1e-16, 0.5),
         newton_tol_abs=st.floats(1e-300, 0.5),
         newton_max_iter=st.integers(1, 100),
-        fd_epsilon_rel=st.floats(1e-12, 0.5), store_all=st.booleans(),
+        store_all=st.booleans(),
         scheme=st.sampled_from(("implicit", "explicit"))))
     # below 90 degC saturated air holds under 0.71 atm of vapor, so no
     # drawn ambient is super-saturated
@@ -272,6 +271,15 @@ class TestSerialization:
         text = save_scenario(humphrey_preset()).replace(
             "geometry:\n", "geometry:\n  radius_typo: 1.0\n")
         with pytest.raises(ScenarioError, match="radius_typo"):
+            load_scenario(text)
+
+    def test_removed_fd_step_key_rejected(self):
+        # the finite-difference step is the constant FD_STEP_REL; ignoring
+        # the key would drop, without a word, a value that changes results
+        text = save_scenario(humphrey_preset()).replace(
+            "solver:\n", "solver:\n  fd_epsilon_rel: 1.0e-07\n")
+        with pytest.raises(ScenarioError,
+                           match=r"unknown field\(s\): solver\.fd_epsilon_rel$"):
             load_scenario(text)
 
     def test_negative_moisture_in_document(self):
@@ -373,7 +381,6 @@ class TestMalformedFields:
         ("solver.t_end", "10"),
         ("solver.newton_tol_rel", "x"),
         ("solver.newton_tol_abs", [1e-14]),
-        ("solver.fd_epsilon_rel", None),
         ("solver.newton_max_iter", "abc"),
         ("solver.newton_max_iter", True),
         ("solver.store_all", 3),

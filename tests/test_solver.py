@@ -303,7 +303,8 @@ class TestJacobian:
     def test_matches_dofwise_difference_of_the_residual(self, params):
         """On an open 4 x 4 mesh every column, constrained rows included,
         equals a centered one-dof-at-a-time difference of the global
-        residual, and the matrix has the pattern of ``newton_order``: a
+        residual, and the matrix holds the 3x3 nodal blocks of
+        ``newton_order``, one per pair of nodes that share an element: a
         corner spliced from the wrong node, or an element block summed
         into the wrong nodal block, fails the column it lands in."""
         m = hm.build_graded_mesh(0.2828, 0.0075, 4, 4, 4.0)
@@ -320,6 +321,8 @@ class TestJacobian:
 
         jac = slv.fd_jacobian(system, u, t, dt=dt, u_prev=u_prev)
         order = system.newton_order
+        assert jac.format == "bsr" and jac.blocksize == (3, 3)
+        assert len(order.indices) == (3 * 4 + 1) ** 2
         assert np.array_equal(jac.indptr, order.indptr)
         assert np.array_equal(jac.indices, order.indices)
         dense = jac.toarray()
@@ -375,9 +378,11 @@ class TestLinearSolve:
         assert rel <= 1e-12
 
     def test_singular_raises(self):
-        a = sparse.csr_matrix(np.zeros((3, 3)))
-        with pytest.raises(LinearSolveError):
-            slv.linear_solve(a, np.ones(3))
+        # the second matrix stores no diagonal entry
+        for a in (np.zeros((3, 3)), [[0.0, 1.0], [1.0, 0.0]]):
+            a = sparse.csr_matrix(a)
+            with pytest.raises(LinearSolveError):
+                slv.linear_solve(a, np.ones(a.shape[0]))
 
     def test_zero_rhs(self):
         a = sparse.csr_matrix(np.eye(3))
@@ -386,23 +391,23 @@ class TestLinearSolve:
     def test_zero_nodal_block_raises(self, system, u_smooth):
         u, t = u_smooth
         jac = slv.fd_jacobian(system, u, t, dt=1.0, u_prev=u)
-        first = 3 * 40  # the dofs of node 40
-        jac[first:first + 3, first:first + 3] = 0.0  # they stay in the pattern
+        jac.data[system.newton_order.diag[40]] = 0.0  # the block of node 40
         with pytest.raises(LinearSolveError, match="singular nodal block"):
             slv.linear_solve(jac, np.ones(system.n_dofs), system.newton_order)
 
     def test_nan_entry_raises(self, system, u_smooth):
         u, t = u_smooth
         jac = slv.fd_jacobian(system, u, t, dt=1.0, u_prev=u)
-        jac.data[jac.nnz // 2] = np.nan
+        jac.data[len(jac.data) // 2, 1, 2] = np.nan
         with pytest.raises(LinearSolveError, match="non-finite"):
             slv.linear_solve(jac, np.ones(system.n_dofs), system.newton_order)
 
     def test_singular_matrix_with_regular_blocks_raises(self):
         """Both nodal blocks are the identity; the matrix is singular."""
-        a = sparse.csr_matrix(np.block([[np.eye(3), np.eye(3)],
-                                        [np.eye(3), np.eye(3)]]))
-        order = asm.NodalOrder(a.indptr, a.indices, np.array([1, 0]))
+        a = sparse.bsr_matrix(np.block([[np.eye(3), np.eye(3)],
+                                        [np.eye(3), np.eye(3)]]),
+                              blocksize=(3, 3))
+        order = asm.NodalOrder(a.indptr, a.indices, np.array([1, 0]), 3)
         with pytest.raises(LinearSolveError, match="factorization failed"):
             slv.linear_solve(a, np.ones(6), order)
 
