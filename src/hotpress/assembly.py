@@ -67,7 +67,7 @@ from scipy.sparse import csc_matrix, csr_matrix
 from . import mesh as hmesh
 from . import properties as props
 from .errors import DomainError, StepError
-from .properties import KELVIN
+from .properties import CP_VAPOR, KELVIN, MM_AIR, R_GAS
 
 N_VARS = 3
 IDX_T, IDX_H, IDX_A = 0, 1, 2
@@ -77,6 +77,8 @@ IDX_T, IDX_H, IDX_A = 0, 1, 2
 STATE_SCALE = np.array([1.0, 1.0, 0.1])  # degC, %, kg/m3
 # relative finite-difference step of the Jacobian and the constraint slopes
 FD_STEP_REL = 1e-7
+# roundoff allowance below zero for moisture [%] (see validate_state)
+H_UNDERSHOOT_TOL = 1e-9
 
 # interdiffusion needs a total pressure; keep the degenerate dry/vacuum
 # state evaluable without affecting any scenario-reachable state
@@ -110,30 +112,31 @@ def state_fields(u):
     return m[:, IDX_T], m[:, IDX_H], m[:, IDX_A]
 
 
-def fd_step(u, eps_rel=FD_STEP_REL):
-    """Finite-difference step of every dof of ``u``: relative to the value,
-    bottoming out at ``STATE_SCALE`` near zero."""
-    return eps_rel * np.maximum(np.abs(u), np.tile(STATE_SCALE, u.size // N_VARS))
+def fd_step(u):
+    """Finite-difference step of every dof of ``u``: ``FD_STEP_REL``
+    relative to the value, bottoming out at ``STATE_SCALE`` near zero."""
+    return FD_STEP_REL * np.maximum(np.abs(u),
+                                    np.tile(STATE_SCALE, u.size // N_VARS))
 
 
 class NodalOrder:
     """The node-level pattern of a matrix of dense nodal blocks, and its
     layout in a node order.
 
-    Unknown ``b*k + i`` is variable i of node k, with ``block`` = b
-    variables per node.  The pattern is the canonical BSR structure
-    (``indptr``, ``indices``) of the matrices it serves, one entry per
-    node pair, and holds every node's diagonal block; such a matrix keeps
-    its b x b blocks in ``data``, in pattern order.  ``block_row`` is the
-    node of each block row, ``diag`` the index of each node's diagonal
-    block and ``block_of`` that of any node pair of the pattern.
+    Unknown ``3k + i`` is variable i of node k.  The pattern is the
+    canonical BSR structure (``indptr``, ``indices``) of the matrices it
+    serves, one entry per node pair, and holds every node's diagonal
+    block; such a matrix keeps its 3x3 blocks in ``data``, in pattern
+    order.  ``block_row`` is the node of each block row, ``diag`` the
+    index of each node's diagonal block and ``block_of`` that of any node
+    pair of the pattern.
     ``csc(blocks)`` lays blocks out as the CSC matrix ``P A P^T``, where
     ``(P x)[m] = x[dofs[m]]`` and ``dofs`` keeps the unknowns of a node
     together in ``node_order``.  The maps are built once, by sorting.
     """
 
-    def __init__(self, indptr, indices, node_order, block):
-        n_nodes, b = len(indptr) - 1, block
+    def __init__(self, indptr, indices, node_order):
+        n_nodes, b = len(indptr) - 1, N_VARS
         n = b * n_nodes
         self.indptr, self.indices = indptr, indices
         self.block_row = np.repeat(np.arange(n_nodes), np.diff(indptr))
@@ -153,7 +156,6 @@ class NodalOrder:
             ([0], np.cumsum(np.bincount(new_cols, minlength=n)))
         ).astype(np.int32)
         self.shape = (n, n)
-        self.block = b
 
     def block_of(self, row_nodes, col_nodes):
         """Index of the block of each node pair, which the pattern holds."""
@@ -165,24 +167,22 @@ class NodalOrder:
                            self.csc_indptr), shape=self.shape)
 
 
-def validate_state(u, h_tol=1e-9, a_tol=None):
+def validate_state(u, a_tol=H_UNDERSHOOT_TOL):
     """Raise StepError when a state violates basic physical bounds.
+
+    Moisture may undershoot zero by the roundoff ``H_UNDERSHOOT_TOL``.
 
     Parameters
     ----------
-    h_tol : float
-        Roundoff allowance below zero for moisture [%].
     a_tol : float, optional
         Allowance below zero for air density [kg/m3]; defaults to
-        ``h_tol``.  The time loop passes a larger value: with a
+        ``H_UNDERSHOOT_TOL``.  The time loop passes a larger value: with a
         near-vacuum initial pore gas, the air field forms a steep layer
         against the rim value that a practical mesh cannot resolve, and
         the nodes just inside it undershoot zero by a few percent of the
         layer jump.  That dip is bounded and harmless to the
         thermodynamics, unlike the runaway states this check is for.
     """
-    if a_tol is None:
-        a_tol = h_tol
     t_c, h_pct, rho_a = state_fields(u)
     bad = []
     if np.any(~np.isfinite(u)):
@@ -190,7 +190,7 @@ def validate_state(u, h_tol=1e-9, a_tol=None):
     else:
         if np.any(t_c <= -KELVIN):
             bad.append(f"temperature below absolute zero (min {t_c.min():.3f} degC)")
-        if np.any(h_pct < -h_tol):
+        if np.any(h_pct < -H_UNDERSHOOT_TOL):
             bad.append(f"negative moisture (min {h_pct.min():.3e} %)")
         if np.any(rho_a < -a_tol):
             bad.append(f"negative air density (min {rho_a.min():.3e} kg/m3)")
@@ -238,7 +238,7 @@ def derive_thermo(t_c, h_pct, rho_a, params):
     s[..., RV_T], s[..., RV_H] = vapor_density_partials(
         p_sat, props.saturated_vapor_pressure_slope(t_c, p_sat), hr, hr_t,
         np.where(h_pct < 0.0, 0.0, hr_h))
-    s[..., P_TOTAL] = rho_a * params.r_gas * t_k / params.mm_air + s[..., P_VAPOR]
+    s[..., P_TOTAL] = rho_a * R_GAS * t_k / MM_AIR + s[..., P_VAPOR]
     s[..., KAPPA_Z] = props.thermal_conductivity_z(t_c, h, params.rho_s)
     s[..., KAPPA_XY] = props.thermal_conductivity_xy(s[..., KAPPA_Z],
                                                      params.kappa_anisotropy)
@@ -396,7 +396,7 @@ class PressSystem:
             np.repeat(elements, 4, axis=1).ravel(), np.tile(elements, 4).ravel()
         )), shape=(n_nodes, n_nodes))
         return NodalOrder(nodes.indptr, nodes.indices,
-                          self.mesh.dissection_order(), N_VARS)
+                          self.mesh.dissection_order())
 
     @cached_property
     def element_slots(self):
@@ -422,9 +422,8 @@ class PressSystem:
 
     def rim_air_bc(self, t_node):
         """Air density holding the exterior air partial pressure at rim T."""
-        return self.p_a_atm * self.params.mm_air / (
-            self.params.r_gas * (np.asarray(t_node, dtype=float) + KELVIN)
-        )
+        return self.p_a_atm * MM_AIR / (
+            R_GAS * (np.asarray(t_node, dtype=float) + KELVIN))
 
     def constrained_dofs(self):
         """Indices of all Dirichlet rows."""
@@ -517,7 +516,7 @@ class PressSystem:
         p = self.params
         val, grad, vel = self._at_gauss(corners)
         eps_d = self.epsilon * val[..., DIFFUSIVITY]
-        heat_adv = val[..., RHO_V] * p.cp_vapor               # rho_v cp_vapor
+        heat_adv = val[..., RHO_V] * CP_VAPOR                 # rho_v cp_vapor
         tau = self._supg_tau(vel, val[..., KAPPA_XY:KAPPA_Z + 1], eps_d, heat_adv)
 
         # dN_a pairs with F and, through the streamline test function

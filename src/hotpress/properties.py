@@ -30,6 +30,9 @@ from scipy.interpolate import PchipInterpolator
 from .errors import ConvergenceError, DomainError
 
 KELVIN = 273.15
+R_GAS = 8314.0       # universal gas constant [J/(kmol K)]
+MM_AIR = 28.96       # molar mass of air [kg/kmol]
+CP_VAPOR = 1880.0    # specific heat of water vapor [J/(kg K)]
 
 # Near-unity temperature correction of the dry-board conductivity, per degC
 # away from 20 degC.  The magnitude ~1e-3 keeps the factor within a few
@@ -73,7 +76,7 @@ def thermal_conductivity_z(t_c, h_pct, rho_s):
     return kappa if np.ndim(kappa) else float(kappa)
 
 
-def thermal_conductivity_xy(kappa_z, anisotropy=1.5):
+def thermal_conductivity_xy(kappa_z, anisotropy):
     """In-plane conductivity from the vertical one (fiber-mat anisotropy)."""
     return anisotropy * kappa_z
 
@@ -145,7 +148,7 @@ def vertical_permeability(rho_s, params):
     return k if np.ndim(k) else float(k)
 
 
-def horizontal_permeability(k_z, anisotropy=59.0):
+def horizontal_permeability(k_z, anisotropy):
     """In-plane permeability from the vertical one."""
     return anisotropy * k_z
 
@@ -271,12 +274,10 @@ def porosity(rho, params):
     """
     if params.porosity_model == "simple":
         eps = 1.0 - float(rho) / params.rho_s
-    elif params.porosity_model == "suzuki":
+    else:  # suzuki
         eps = 1.0 - params.rho_s * (1.0 / params.rho_f + params.y_r / params.rho_r) / (
             1.0 + params.y_r
         )
-    else:
-        raise DomainError(f"unknown porosity model {params.porosity_model!r}")
     if not 0.0 <= eps < 1.0:
         raise DomainError(
             f"porosity {eps:.4f} outside [0, 1) for model "
@@ -429,6 +430,10 @@ class HailwoodHorrobinIsotherm:
 class MaterialParams:
     """All constitutive constants and fitted data for one board.
 
+    The gas constant, the molar mass of air and the specific heat of
+    water vapor are the same for every board: they are the module
+    constants ``R_GAS``, ``MM_AIR`` and ``CP_VAPOR``.
+
     Parameters
     ----------
     rho_s : float
@@ -439,12 +444,6 @@ class MaterialParams:
     kappa_anisotropy, perm_anisotropy : float
         In-plane/vertical ratios for conductivity (1.5) and gas
         permeability (59).
-    cp_vapor : float
-        Specific heat of water vapor [J/(kg K)].
-    mm_air : float
-        Molar mass of air [kg/kmol].
-    r_gas : float
-        Universal gas constant [J/(kmol K)].
     porosity_model : str
         ``"suzuki"`` or ``"simple"``.
     rho_f, rho_r, y_r : float
@@ -460,9 +459,6 @@ class MaterialParams:
     bulk_density: float | None = None
     kappa_anisotropy: float = 1.5
     perm_anisotropy: float = 59.0
-    cp_vapor: float = 1880.0       # J/(kg K)
-    mm_air: float = 28.96          # kg/kmol
-    r_gas: float = 8314.0          # J/(kmol K)
     porosity_model: str = "suzuki"
     rho_f: float = 900.0           # kg/m3
     rho_r: float = 1100.0          # kg/m3
@@ -475,8 +471,7 @@ class MaterialParams:
     def __post_init__(self):
         # every message starts with the name of the offending field
         for name in ("rho_s", "bulk_density", "kappa_anisotropy",
-                     "perm_anisotropy", "cp_vapor", "mm_air", "r_gas",
-                     "rho_f", "rho_r"):
+                     "perm_anisotropy", "rho_f", "rho_r"):
             value = getattr(self, name)
             if value is None and name == "bulk_density":  # means rho_s
                 continue

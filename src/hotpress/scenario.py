@@ -495,14 +495,12 @@ def initial_state(scenario, mesh):
                       np.full(n, scenario.rho_a0))
 
 
-def run_scenario(scenario, mesh=None, log=None, store_all=None):
+def run_scenario(scenario, log=None, store_all=None):
     """Build, initialize and time-integrate ``scenario`` in one call.
 
     Parameters
     ----------
     scenario : Scenario
-    mesh : Mesh, optional
-        Reuse an existing mesh.
     log : callable, optional
         Receives one diagnostic line per step.
     store_all : bool, optional
@@ -512,7 +510,7 @@ def run_scenario(scenario, mesh=None, log=None, store_all=None):
     -------
     (PressSystem, TransientResult)
     """
-    system = build_system(scenario, mesh)
+    system = build_system(scenario)
     u0 = initial_state(scenario, system.mesh)
     cfg = scenario.solver
     if store_all is not None:

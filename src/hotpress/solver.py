@@ -35,22 +35,24 @@ The explicit scheme advances the closed-form lumped rates and then
 re-assigns the constrained values.  Both schemes integrate the same
 semi-discrete system, so their trajectories agree to second order in dt.
 
-:class:`SolverConfig` is the one solver configuration: ``run_transient``,
-``implicit_step`` and ``newton_solve`` read their step, horizon, scheme,
-output and Newton controls from it.  The knobs that have a single value
-in every run are module constants.
+:class:`SolverConfig` is the one run configuration: ``run_transient``
+reads its step, horizon, scheme and outputs from it.  The knobs that
+have a single value in every run are constants: the Newton stopping
+rule is held in class constants of :class:`SolverConfig`, the rest in
+module constants.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
-from scipy.sparse import bsr_matrix, csr_matrix
+from scipy.sparse import bsr_matrix
 from scipy.sparse.linalg import splu
 
-from .assembly import N_VARS, NodalOrder, fd_step, validate_state
+from .assembly import N_VARS, fd_step, validate_state
 from .errors import HotPressError, LinearSolveError, NewtonError, \
     ScenarioError
 
@@ -74,11 +76,13 @@ AIR_UNDERSHOOT_TOL = 0.05
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Time integration and Newton controls for one run.
+    """Time integration controls for one run, and the Newton stopping
+    rule.
 
-    These are numerical knobs, not physics, so defaults are allowed.
+    The fields are numerical knobs, not physics, so defaults are allowed.
     ``t_end = 0`` is accepted and means "evaluate the initial state
-    only" (no steps are taken).
+    only" (no steps are taken).  The Newton stopping rule has one value
+    in every run: it is held in class constants, which no scenario sets.
 
     Parameters
     ----------
@@ -91,6 +95,12 @@ class SolverConfig:
     output_times : tuple of float
         Times [s] at which full-field snapshots are recorded; sorted and
         deduplicated on construction.
+    store_all : bool
+        Keep every accepted state in memory (needed for trajectory
+        diagnostics; off by default to bound memory).
+
+    Attributes
+    ----------
     newton_tol_rel, newton_tol_abs : float
         Convergence targets on the root-mean-square of the scaled
         residual: a Newton solve stops below ``max(newton_tol_rel *
@@ -101,19 +111,16 @@ class SolverConfig:
         Iteration cap per implicit step before the step size is halved.
         Every linear solve counts, those with a lagged factor and those
         whose update is dropped included.
-    store_all : bool
-        Keep every accepted state in memory (needed for trajectory
-        diagnostics; off by default to bound memory).
     """
 
     dt: float = 1.0                # s
     scheme: str = "implicit"
     t_end: float = 400.0           # s
     output_times: tuple = ()
-    newton_tol_rel: float = 1e-10
-    newton_tol_abs: float = 5e-14
-    newton_max_iter: int = 15
     store_all: bool = False
+    newton_tol_rel: ClassVar[float] = 1e-10
+    newton_tol_abs: ClassVar[float] = 5e-14
+    newton_max_iter: ClassVar[int] = 15
 
     def __post_init__(self):
         if not (np.isfinite(self.dt) and self.dt > 0.0):
@@ -123,20 +130,12 @@ class SolverConfig:
                 f"scheme must be 'implicit' or 'explicit', got {self.scheme!r}")
         if not (np.isfinite(self.t_end) and self.t_end >= 0.0):
             raise ScenarioError("t_end must be non-negative")
-        for name in ("newton_tol_rel", "newton_tol_abs"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ScenarioError(f"{name} must lie in (0, 1)")
-        n_iter = self.newton_max_iter
-        if not (np.isfinite(n_iter) and n_iter >= 1 and int(n_iter) == n_iter):
-            raise ScenarioError("newton_max_iter must be a positive integer")
         times = sorted({float(t) for t in self.output_times})
         if any(not np.isfinite(t) or t <= 0.0 for t in times):
             raise ScenarioError("output_times must be positive and finite")
         object.__setattr__(self, "output_times", tuple(times))
         object.__setattr__(self, "dt", float(self.dt))
         object.__setattr__(self, "t_end", float(self.t_end))
-        object.__setattr__(self, "newton_max_iter", int(self.newton_max_iter))
 
 
 def rms(v):
@@ -217,13 +216,11 @@ class LUFactor:
 
     Parameters
     ----------
-    a : sparse matrix
-        BSR, with the block size and pattern of ``order``.
-    order : NodalOrder, optional
+    a : scipy.sparse.bsr_matrix
+        3x3 nodal blocks in the pattern of ``order``.
+    order : NodalOrder
         Pattern, nodal blocks and node order of ``a``, as
-        ``PressSystem.newton_order`` gives them.  By default every unknown
-        is its own node, in natural order, and ``a`` may be any sparse
-        matrix: it is taken as 1x1 blocks with its diagonal stored.
+        ``PressSystem.newton_order`` gives them.
 
     Raises
     ------
@@ -234,15 +231,8 @@ class LUFactor:
         factorization fails.
     """
 
-    def __init__(self, a, order=None):
-        if order is None:
-            # a missing diagonal entry is stored as a zero, a singular block
-            a, d = a.tocoo(), np.arange(a.shape[0])
-            a = csr_matrix((np.r_[a.data, 0.0 * d],
-                            (np.r_[a.row, d], np.r_[a.col, d])),
-                           shape=a.shape).tobsr((1, 1))
-            order = NodalOrder(a.indptr, a.indices, d, 1)
-        if not (a.format == "bsr" and a.blocksize == (order.block,) * 2
+    def __init__(self, a, order):
+        if not (a.format == "bsr" and a.blocksize == (N_VARS, N_VARS)
                 and np.array_equal(a.indptr, order.indptr)
                 and np.array_equal(a.indices, order.indices)):
             raise ValueError("matrix does not have the pattern of this order")
@@ -280,7 +270,7 @@ class LUFactor:
         return x
 
 
-def linear_solve(a, b, order=None):
+def linear_solve(a, b, order):
     """Solve ``a x = b`` once: ``LUFactor(a, order).solve(b)``."""
     return LUFactor(a, order).solve(b)
 
@@ -310,7 +300,7 @@ class StepResult:
     jacobian_builds: int = 0
 
 
-def newton_solve(system, u_prev, dt, t_new, cfg, lagged=None):
+def newton_solve(system, u_prev, dt, t_new, lagged=None):
     """One backward-Euler solve at fixed dt; ``dt = inf`` solves the
     steady problem.
 
@@ -322,13 +312,13 @@ def newton_solve(system, u_prev, dt, t_new, cfg, lagged=None):
     The update from a freshly built factor is always taken, halved once
     when the residual norm increases.  A factor built for another dt is
     never reused.  Without ``lagged``, the factor lives for this solve
-    only.
+    only.  The stopping rule is that of :class:`SolverConfig`.
 
     Raises
     ------
     NewtonError
-        If the tolerance is not reached within ``cfg.newton_max_iter``
-        linear solves.
+        If the tolerance is not reached within
+        ``SolverConfig.newton_max_iter`` linear solves.
     """
     def eval_residual(w):
         """Residual and norm, or None when the state leaves the domain."""
@@ -343,7 +333,7 @@ def newton_solve(system, u_prev, dt, t_new, cfg, lagged=None):
     g, r0 = eval_residual(v)
     if g is None:
         raise NewtonError(f"residual not evaluable at t={t_new:.6g}")
-    target = max(cfg.newton_tol_rel * r0, cfg.newton_tol_abs)
+    target = max(SolverConfig.newton_tol_rel * r0, SolverConfig.newton_tol_abs)
     history = [r0]
     if r0 <= target:
         return v, 0, r0
@@ -351,7 +341,7 @@ def newton_solve(system, u_prev, dt, t_new, cfg, lagged=None):
         lagged = LaggedJacobian()
     if lagged.dt != dt:
         lagged.factor = None
-    for it in range(1, cfg.newton_max_iter + 1):
+    for it in range(1, SolverConfig.newton_max_iter + 1):
         fresh = lagged.factor is None
         if fresh:
             lagged.factor = LUFactor(
@@ -385,27 +375,26 @@ def newton_solve(system, u_prev, dt, t_new, cfg, lagged=None):
         if r_new <= target:
             return v, it, r_new
     raise NewtonError(
-        f"no convergence in {cfg.newton_max_iter} iterations at "
+        f"no convergence in {SolverConfig.newton_max_iter} iterations at "
         f"t={t_new:.6g} (dt={dt:.3g})",
         residual_history=history,
         last_state=v,
     )
 
 
-def implicit_step(system, u, t, dt, cfg=None, lagged=None):
+def implicit_step(system, u, t, dt, lagged=None):
     """Backward-Euler step with automatic dt halving on failure.
 
     Returns a StepResult whose ``dt_used`` may be smaller than requested;
-    the caller resumes from ``t + dt_used``.  ``cfg`` defaults to
-    ``SolverConfig()``.  ``lagged`` is the run's :class:`LaggedJacobian`;
-    without it the step's attempts share a factor of their own.
+    the caller resumes from ``t + dt_used``.  ``lagged`` is the run's
+    :class:`LaggedJacobian`; without it the step's attempts share a
+    factor of their own.
 
     Raises
     ------
     NewtonError
         If the step still fails after ``MAX_HALVINGS`` halvings.
     """
-    cfg = cfg or SolverConfig()
     lagged = lagged or LaggedJacobian()
     builds = lagged.builds
     dt_try = dt
@@ -413,7 +402,7 @@ def implicit_step(system, u, t, dt, cfg=None, lagged=None):
     for halving in range(MAX_HALVINGS + 1):
         try:
             v, iters, r_final = newton_solve(system, u, dt_try, t + dt_try,
-                                             cfg, lagged)
+                                             lagged)
             validate_state(v, a_tol=AIR_UNDERSHOOT_TOL)
             return StepResult(v, dt_try, iters, r_final, halving,
                               lagged.builds - builds)
@@ -513,7 +502,7 @@ def run_transient(system, u0, cfg, log=None):
             dt_step = min(dt_step, wanted[0] - t)
         u_before = u
         if cfg.scheme == "implicit":
-            step = implicit_step(system, u, t, dt_step, cfg, lagged)
+            step = implicit_step(system, u, t, dt_step, lagged)
             u = step.u
             t_new = t + step.dt_used
             res.newton_iters.append(step.newton_iters)

@@ -51,7 +51,10 @@ from .assembly import (
 )
 from .mesh import QuadratureRule, build_graded_mesh, element_geometry
 from .properties import (
+    CP_VAPOR,
     KELVIN,
+    MM_AIR,
+    R_GAS,
     MaterialParams,
     saturated_vapor_pressure,
     specific_heat,
@@ -59,8 +62,7 @@ from .properties import (
     vertical_permeability,
 )
 from .scenario import humphrey_preset, run_scenario
-from .solver import LaggedJacobian, SolverConfig, fd_jacobian, \
-    newton_solve
+from .solver import LaggedJacobian, fd_jacobian, newton_solve
 
 __all__ = [
     "CheckResult",
@@ -298,8 +300,8 @@ def _pointwise_flux(system, sol, r, z, t):
     grv_r = rv_t * gt_r + rv_h * gh_r
     grv_z = rv_t * gt_z + rv_h * gh_z
     # total pressure gradient: ideal-gas air part plus vapor part
-    dpair_dt = av * p.r_gas / p.mm_air
-    dpair_da = p.r_gas * (tv + KELVIN) / p.mm_air
+    dpair_dt = av * R_GAS / MM_AIR
+    dpair_da = R_GAS * (tv + KELVIN) / MM_AIR
     gp_r = dpair_dt * gt_r + dpair_da * ga_r + grv_r / _RV_PER_PV
     gp_z = dpair_dt * gt_z + dpair_da * ga_z + grv_z / _RV_PER_PV
 
@@ -314,7 +316,7 @@ def _pointwise_flux(system, sol, r, z, t):
     f[..., 1, 1] = eps_d * grv_z - v_z * rv
     f[..., 2, 0] = eps_d * ga_r - v_r * av
     f[..., 2, 1] = eps_d * ga_z - v_z * av
-    adv_t = rv * p.cp_vapor * (v_r * gt_r + v_z * gt_z)
+    adv_t = rv * CP_VAPOR * (v_r * gt_r + v_z * gt_z)
     return f, adv_t
 
 
@@ -398,7 +400,7 @@ def mms_spatial_study(n_values=(5, 10, 20, 40), stabilization=True):
         system = _mms_system(n, sol, stabilization)
         u_exact = sol.state(system.mesh, 0.0)
         # backward Euler at dt = inf is the steady problem
-        u, _, _ = newton_solve(system, u_exact, np.inf, 0.0, SolverConfig())
+        u, _, _ = newton_solve(system, u_exact, np.inf, 0.0)
         errors.append(_scaled_error_norm(system, u - u_exact))
     orders = [float(np.log2(errors[i] / errors[i + 1]))
               for i in range(len(errors) - 1)]
@@ -419,7 +421,6 @@ def mms_temporal_study(dts=(1.0, 0.5, 0.25, 0.125, 0.0625), n=8, t_final=8.0):
     """
     sol = _mms_solution(transient=True, period=t_final)
     system = _mms_system(n, sol)
-    cfg = SolverConfig()
     sweep = [(dt, [(k + 1) * dt for k in range(int(round(t_final / dt)))])
              for dt in dts]
     times = sorted({t for _, step_times in sweep for t in step_times})
@@ -429,7 +430,7 @@ def mms_temporal_study(dts=(1.0, 0.5, 0.25, 0.125, 0.0625), n=8, t_final=8.0):
         u = sol.state(system.mesh, 0.0)
         lagged = LaggedJacobian()
         for t in step_times:
-            u, _, _ = newton_solve(system, u, dt, t, cfg, lagged)
+            u, _, _ = newton_solve(system, u, dt, t, lagged)
         finals.append(u)
     diffs = [_scaled_error_norm(system, finals[i] - finals[i + 1])
              for i in range(len(finals) - 1)]

@@ -60,6 +60,13 @@ class TestStateVector:
         u = asm.pack_state([30.0], [-1e-12], [1.0])
         asm.validate_state(u)  # within tolerance
 
+    def test_validate_moisture_allowance_is_the_roundoff_constant(self):
+        tol = asm.H_UNDERSHOOT_TOL
+        asm.validate_state(asm.pack_state([30.0], [-0.5 * tol], [-0.5 * tol]))
+        for h, a in ((-2.0 * tol, 1.0), (11.0, -2.0 * tol)):
+            with pytest.raises(StepError):
+                asm.validate_state(asm.pack_state([30.0], [h], [a]))
+
     def test_validate_air_tolerance_is_strict_by_default(self):
         u = asm.pack_state([30.0], [11.0], [-0.03])
         with pytest.raises(StepError):
@@ -143,7 +150,7 @@ class TestDerivedState:
         assert (hr == 100.0).any() and (hr < 100.0).any()
         p_sat = props.saturated_vapor_pressure(t)
         p_v = hr / 100.0 * p_sat
-        p_tot = a * params.r_gas * (t + props.KELVIN) / params.mm_air + p_v
+        p_tot = a * props.R_GAS * (t + props.KELVIN) / props.MM_AIR + p_v
         kappa_z = props.thermal_conductivity_z(t, h0, params.rho_s)
         k_z = props.vertical_permeability(params.rho_s, params)
         mu = props.gas_viscosity(t)

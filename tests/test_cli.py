@@ -216,6 +216,18 @@ class TestRunErrors:
         assert rc == 2, f"an out-of-range constant is a usage error, got {rc}"
         assert "material.kappa_anisotropy" in capsys.readouterr().err
 
+    def test_removed_key_exits_2(self, tmp_path, scenario_file, capsys):
+        # the gas constant is the constant properties.R_GAS
+        doc = yaml.safe_load(scenario_file.read_text())
+        doc["material"]["r_gas"] = 8314.0
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(doc))
+        rc = cli.main(["run", "--scenario", str(bad), "--out", str(tmp_path)])
+        assert rc == 2, f"a removed key is a usage error, got exit {rc}"
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown field(s): material.r_gas"), err
+        assert list(tmp_path.iterdir()) == [bad], "no output may be written"
+
     @pytest.mark.parametrize("material, field", [
         ({"porosity_model": "simple"}, "material.bulk_density"),  # porosity 0
         ({"rho_s": 1200.0}, "material.rho_s"),          # Suzuki porosity -0.31
@@ -247,7 +259,7 @@ class TestRunErrors:
         ("mesh", {"n_r": 0}, "mesh.n_r"),
         ("mesh", {"grading_ratio": 0}, "mesh.grading_ratio"),
         ("solver", {"dt": 0}, "solver.dt"),
-        ("solver", {"newton_tol_rel": 2}, "solver.newton_tol_rel"),
+        ("solver", {"t_end": -1.0}, "solver.t_end"),
         ("solver", {"output_times": [0.0]}, "solver.output_times"),
         ("solver", {"scheme": "leapfrog"}, "solver.scheme"),
         ("schedule", {"breakpoints": [[0, 30], [0, 40]]},

@@ -37,9 +37,10 @@ class TestThermalConductivity:
         k160 = pr.thermal_conductivity_z(160.0, 12.0, 600.0)
         assert 1.0 < k160 / k20 < 1.2
 
-    def test_in_plane_ratio(self):
-        assert pr.thermal_conductivity_xy(0.1) == pytest.approx(0.15)
-        assert pr.thermal_conductivity_xy(0.0) == 0.0
+    def test_in_plane_ratio(self, params):
+        ratio = params.kappa_anisotropy
+        assert pr.thermal_conductivity_xy(0.1, ratio) == pytest.approx(0.15)
+        assert pr.thermal_conductivity_xy(0.0, ratio) == 0.0
 
 
 class TestGasViscosity:
@@ -73,8 +74,9 @@ class TestPermeability:
         k = pr.vertical_permeability(rho, params)
         assert np.all(np.diff(k) <= 1e-25)
 
-    def test_horizontal_ratio(self):
-        assert pr.horizontal_permeability(1e-15) == pytest.approx(5.9e-14)
+    def test_horizontal_ratio(self, params):
+        assert pr.horizontal_permeability(1e-15, params.perm_anisotropy) \
+            == pytest.approx(5.9e-14)
 
     def test_table_validation_rejects_rising_permeability(self, tmp_path):
         bad = tmp_path / "perm.txt"
@@ -98,6 +100,20 @@ class TestDiffusivity:
 
     def test_temperature_linear(self):
         assert pr.steam_air_diffusivity(101325.0, 2 * 273.15) == pytest.approx(4.40e-5)
+
+
+class TestGasConstants:
+    def test_dry_air_density_at_standard_conditions(self):
+        # the ideal-gas law with R_GAS and MM_AIR: 1.2921 kg/m3 at 0 degC
+        # and one atmosphere
+        rho = 101325.0 * pr.MM_AIR / (pr.R_GAS * pr.KELVIN)
+        assert rho == pytest.approx(1.2921, abs=1e-4)
+        assert pr.CP_VAPOR == 1880.0
+
+    def test_not_board_fields(self):
+        for name in ("r_gas", "mm_air", "cp_vapor"):
+            with pytest.raises(TypeError, match=name):
+                pr.MaterialParams(rho_s=586.0, **{name: 1.0})
 
 
 class TestVaporPressureAndDensity:
@@ -248,8 +264,7 @@ class TestMaterialParams:
 
     @pytest.mark.parametrize("name", ["rho_s", "bulk_density",
                                       "kappa_anisotropy", "perm_anisotropy",
-                                      "cp_vapor", "mm_air", "r_gas", "rho_f",
-                                      "rho_r", "y_r"])
+                                      "rho_f", "rho_r", "y_r"])
     @pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
     def test_bad_numeric_field_named(self, name, value):
         kwargs = {"rho_s": 586.0, name: value}
@@ -293,7 +308,7 @@ class TestMonotoneCorrelations:
         (t1, t2), (h1, h2) = _ordered(t_pair, 1e-3), _ordered(h_pair, 1e-3)
         for kappa in (lambda t, h: pr.thermal_conductivity_z(t, h, rho_s),
                       lambda t, h: pr.thermal_conductivity_xy(
-                          pr.thermal_conductivity_z(t, h, rho_s))):
+                          pr.thermal_conductivity_z(t, h, rho_s), 1.5)):
             assert 0.0 < kappa(t1, h1) < kappa(t2, h1)
             assert kappa(t1, h1) < kappa(t1, h2)
 

@@ -148,17 +148,29 @@ class TestNewton:
         # every attempt, failed or not, builds at least one Jacobian
         assert step.jacobian_builds >= step.halvings + 1
 
-    def test_exhausted_ladder_raises(self, system, u_start):
+    def test_exhausted_ladder_raises(self, system, u_start, monkeypatch):
+        monkeypatch.setattr(SolverConfig, "newton_max_iter", 1)
         with pytest.raises(NewtonError):
-            slv.implicit_step(system, u_start, 0.0, 1.0,
-                              SolverConfig(newton_max_iter=1))
+            slv.implicit_step(system, u_start, 0.0, 1.0)
 
-    def test_newton_error_carries_history(self, system, u_start):
+    def test_newton_error_carries_history(self, system, u_start,
+                                          monkeypatch):
+        monkeypatch.setattr(SolverConfig, "newton_max_iter", 1)
         with pytest.raises(NewtonError) as excinfo:
-            slv.newton_solve(system, u_start, 1.0, 1.0,
-                             SolverConfig(newton_max_iter=1))
+            slv.newton_solve(system, u_start, 1.0, 1.0)
         assert excinfo.value.residual_history is not None
         assert len(excinfo.value.residual_history) >= 1
+
+
+    def test_stopping_rule_is_read_at_each_call(self, system, u_start,
+                                                monkeypatch):
+        """The class constants are the stopping rule: a floor above the
+        initial residual accepts the start state."""
+        _, iters, _ = slv.newton_solve(system, u_start, 1.0, 1.0)
+        assert iters >= 1
+        monkeypatch.setattr(SolverConfig, "newton_tol_abs", 1e300)
+        v, iters, _ = slv.newton_solve(system, u_start, 1.0, 1.0)
+        assert iters == 0 and np.array_equal(v, u_start)
 
 
 class TestJacobianReuse:
@@ -196,11 +208,11 @@ class TestJacobianReuse:
             slv.fd_jacobian(system, u0, 1.0, 1.0, u0), system.newton_order),
             dt=1.0)
         u = res.states[10]
-        v, iters, r_final = slv.newton_solve(system, u, 1.0, 11.0, cfg, lagged)
+        v, iters, r_final = slv.newton_solve(system, u, 1.0, 11.0, lagged)
         r0 = slv.rms(system.residual(u, np.zeros_like(u), 11.0))
         assert r_final <= max(cfg.newton_tol_rel * r0, cfg.newton_tol_abs)
         assert 1 <= iters <= cfg.newton_max_iter
-        fresh, _, _ = slv.newton_solve(system, u, 1.0, 11.0, cfg)
+        fresh, _, _ = slv.newton_solve(system, u, 1.0, 11.0)
         scale = np.tile([1.0, 0.1, 0.01], system.mesh.n_nodes)
         assert np.max(np.abs(v - fresh) / scale) < 1e-7
 
@@ -210,7 +222,7 @@ class TestJacobianReuse:
                 raise AssertionError("a factor built for dt = 0.5 was used")
 
         lagged = slv.LaggedJacobian(Stale(), dt=0.5)
-        slv.newton_solve(system, u_start, 1.0, 1.0, SolverConfig(), lagged)
+        slv.newton_solve(system, u_start, 1.0, 1.0, lagged)
         assert lagged.dt == 1.0 and lagged.builds >= 1
 
     def test_lagged_update_that_raises_the_residual_is_dropped(
@@ -221,10 +233,9 @@ class TestJacobianReuse:
             def solve(self, b):
                 return np.full_like(b, 50.0)
 
-        cfg = SolverConfig()
-        fresh, iters, _ = slv.newton_solve(system, u_start, 1.0, 1.0, cfg)
+        fresh, iters, _ = slv.newton_solve(system, u_start, 1.0, 1.0)
         lagged = slv.LaggedJacobian(Wild(), dt=1.0)
-        v, lagged_iters, _ = slv.newton_solve(system, u_start, 1.0, 1.0, cfg,
+        v, lagged_iters, _ = slv.newton_solve(system, u_start, 1.0, 1.0,
                                               lagged)
         assert lagged_iters == iters + 1
         assert np.array_equal(v, fresh)
@@ -232,10 +243,9 @@ class TestJacobianReuse:
     def test_calls_without_a_holder_do_not_share_a_factor(self, system,
                                                           u_smooth):
         u, t = u_smooth
-        cfg = SolverConfig()
-        first = slv.newton_solve(system, u, 1.0, t + 1.0, cfg)
-        slv.newton_solve(system, u, 1.0, t + 1.0, cfg, slv.LaggedJacobian())
-        second = slv.newton_solve(system, u, 1.0, t + 1.0, cfg)
+        first = slv.newton_solve(system, u, 1.0, t + 1.0)
+        slv.newton_solve(system, u, 1.0, t + 1.0, slv.LaggedJacobian())
+        second = slv.newton_solve(system, u, 1.0, t + 1.0)
         assert first[1] == second[1]
         assert np.array_equal(first[0], second[0])
 
@@ -326,7 +336,7 @@ class TestJacobian:
         assert np.array_equal(jac.indptr, order.indptr)
         assert np.array_equal(jac.indices, order.indices)
         dense = jac.toarray()
-        delta = asm.fd_step(u, 1e-6)
+        delta = 10.0 * asm.fd_step(u)
         for j in range(u.size):
             v_p, v_m = u.copy(), u.copy()
             v_p[j] += delta[j]
@@ -356,14 +366,25 @@ class TestJacobian:
         assert sum(points) == 4 * n
 
 
+def nodal(a):
+    """Dense ``a`` as a BSR matrix of 3x3 blocks, every block stored, and
+    the NodalOrder of its pattern with the nodes in reverse order."""
+    n = len(a) // 3
+    blocks = np.asarray(a, dtype=float).reshape(n, 3, n, 3).swapaxes(1, 2)
+    a = sparse.bsr_matrix((blocks.reshape(-1, 3, 3), np.tile(np.arange(n), n),
+                           np.arange(0, n * n + 1, n)), shape=(3 * n, 3 * n))
+    return a, asm.NodalOrder(a.indptr, a.indices, np.arange(n)[::-1])
+
+
 class TestLinearSolve:
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(5)
-        n = 40
+        n = 42
         a = sparse.random(n, n, density=0.2, random_state=5).toarray()
         a += n * np.eye(n)
         b = rng.standard_normal(n)
-        x = slv.linear_solve(sparse.csr_matrix(a), b)
+        a_s, order = nodal(a)
+        x = slv.linear_solve(a_s, b, order)
         assert np.allclose(x, np.linalg.solve(a, b), rtol=1e-10)
 
     def test_poorly_scaled_matrix_reaches_tight_residual(self):
@@ -372,21 +393,23 @@ class TestLinearSolve:
         a = sparse.random(n, n, density=0.1, random_state=9).toarray()
         a += np.diag(np.linspace(1.0, 1e6, n))  # poorly scaled
         b = rng.standard_normal(n)
-        a_s = sparse.csr_matrix(a)
-        x = slv.linear_solve(a_s, b)
+        a_s, order = nodal(a)
+        x = slv.linear_solve(a_s, b, order)
         rel = np.linalg.norm(b - a_s @ x) / np.linalg.norm(b)
         assert rel <= 1e-12
 
     def test_singular_raises(self):
-        # the second matrix stores no diagonal entry
-        for a in (np.zeros((3, 3)), [[0.0, 1.0], [1.0, 0.0]]):
-            a = sparse.csr_matrix(a)
+        # the second matrix swaps two nodes: its diagonal blocks are zero
+        for a in (np.zeros((3, 3)), np.kron([[0.0, 1.0], [1.0, 0.0]],
+                                             np.eye(3))):
+            a, order = nodal(a)
             with pytest.raises(LinearSolveError):
-                slv.linear_solve(a, np.ones(a.shape[0]))
+                slv.linear_solve(a, np.ones(a.shape[0]), order)
 
     def test_zero_rhs(self):
-        a = sparse.csr_matrix(np.eye(3))
-        assert np.array_equal(slv.linear_solve(a, np.zeros(3)), np.zeros(3))
+        a, order = nodal(np.eye(6))
+        assert np.array_equal(slv.linear_solve(a, np.zeros(6), order),
+                              np.zeros(6))
 
     def test_zero_nodal_block_raises(self, system, u_smooth):
         u, t = u_smooth
@@ -407,7 +430,7 @@ class TestLinearSolve:
         a = sparse.bsr_matrix(np.block([[np.eye(3), np.eye(3)],
                                         [np.eye(3), np.eye(3)]]),
                               blocksize=(3, 3))
-        order = asm.NodalOrder(a.indptr, a.indices, np.array([1, 0]), 3)
+        order = asm.NodalOrder(a.indptr, a.indices, np.array([1, 0]))
         with pytest.raises(LinearSolveError, match="factorization failed"):
             slv.linear_solve(a, np.ones(6), order)
 
@@ -415,6 +438,13 @@ class TestLinearSolve:
         a = sparse.csr_matrix(np.eye(system.n_dofs))
         with pytest.raises(ValueError, match="pattern"):
             slv.linear_solve(a, np.ones(system.n_dofs), system.newton_order)
+
+    def test_matrix_of_another_block_size_is_refused(self):
+        """The pattern is right at 3x3 blocks; the matrix has 1x1 ones."""
+        order = nodal(np.eye(6))[1]
+        a = sparse.bsr_matrix(np.eye(6), blocksize=(1, 1))
+        with pytest.raises(ValueError, match="pattern"):
+            slv.linear_solve(a, np.ones(6), order)
 
 
 class TestFillGuard:
@@ -505,11 +535,11 @@ class TestRunTransient:
         validate = slv.validate_state
         rejected = []
 
-        def reject_first_step(u, h_tol=1e-9, a_tol=None):
-            if a_tol is not None and not rejected:
+        def reject_first_step(u, **kwargs):
+            if kwargs and not rejected:  # a step's check passes a_tol
                 rejected.append(True)
                 raise StepError("synthetic rejection")
-            validate(u, h_tol, a_tol)
+            validate(u, **kwargs)
 
         builds = []
         build = slv.fd_jacobian

@@ -161,11 +161,11 @@ class TestSteadyLimit:
 
     def test_dt_inf_solve_meets_the_newton_target(self, steady):
         system, u_exact = steady
-        cfg = SolverConfig()
         r0 = rms(system.residual(u_exact, None, 0.0))
-        u, iters, r_final = newton_solve(system, u_exact, np.inf, 0.0, cfg)
+        u, iters, r_final = newton_solve(system, u_exact, np.inf, 0.0)
         assert iters >= 1
-        assert r_final <= max(cfg.newton_tol_rel * r0, cfg.newton_tol_abs)
+        assert r_final <= max(SolverConfig.newton_tol_rel * r0,
+                              SolverConfig.newton_tol_abs)
         assert r_final == rms(system.residual(u, None, 0.0))
 
 
