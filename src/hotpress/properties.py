@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ConvergenceError, DomainError
 
@@ -126,10 +125,56 @@ def load_permeability_table(path=None):
     return dens, perm
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    """Three-point end slope of PCHIP, limited to keep the end monotone."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def pchip_coefficients(x, y):
+    """PCHIP cubics through ``(x, y)``, as scipy's ``PchipInterpolator``.
+
+    Returns the (4, n-1) coefficients of each interval's cubic in powers
+    of ``x - x[i]``, highest first.  Interior slopes are zero where a
+    secant is zero or changes sign, else the weighted harmonic mean of
+    the two secants; two points give a line.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    d = np.full_like(y, m[0])
+    if len(x) > 2:
+        w1, w2 = 2.0 * h[1:] + h[:-1], h[1:] + 2.0 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d[1:-1] = np.where(flat, 0.0,
+                               1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2.0 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+
+def pchip_evaluate(x, coef, xi):
+    """Value at ``xi`` (within ``[x[0], x[-1]]``) of the cubics of
+    :func:`pchip_coefficients`, summed in scipy's ``PPoly`` order so that
+    the values match it bit for bit."""
+    i = np.minimum(np.searchsorted(x, xi, side="right") - 1, len(x) - 2)
+    s = xi - x[i]
+    c0, c1, c2, c3 = coef[:, i]
+    return c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
+
+
 def vertical_permeability(rho_s, params):
     """Superficial vertical gas permeability at a given board density.
 
-    Densities outside the tabulated range are clamped to the endpoints.
+    log10 K is interpolated through every row of the table by PCHIP
+    (Fritsch & Carlson 1980, SIAM J. Numer. Anal. 17), with scipy's
+    end-point rule.  Densities outside the tabulated range are clamped to
+    the endpoints.
 
     Parameters
     ----------
@@ -144,7 +189,7 @@ def vertical_permeability(rho_s, params):
     """
     dens = params.perm_density
     rho = np.clip(np.asarray(rho_s, dtype=float), dens[0], dens[-1])
-    k = 10.0 ** params._perm_interp(rho)
+    k = 10.0 ** pchip_evaluate(dens, params._perm_coef, rho)
     return k if np.ndim(k) else float(k)
 
 
@@ -490,11 +535,11 @@ class MaterialParams:
                               f"{exc}") from exc
         object.__setattr__(self, "perm_density", dens)
         object.__setattr__(self, "perm_values", perm)
-        # monotone cubic interpolant of log10(K) through every tabulated
-        # point: a least-squares line in log space misses the flat dense
-        # tail of the measurements by >20 %
-        object.__setattr__(self, "_perm_interp", PchipInterpolator(
-            dens, np.log10(perm), extrapolate=False))
+        # PCHIP, a monotone cubic interpolant (Fritsch & Carlson 1980), of
+        # log10(K) through every tabulated point: a least-squares line in log
+        # space misses the flat dense tail of the measurements by >20 %
+        object.__setattr__(self, "_perm_coef",
+                           pchip_coefficients(dens, np.log10(perm)))
         # the board's vertical permeability [m2], fixed with rho_s
         object.__setattr__(self, "perm_z", vertical_permeability(self.rho_s, self))
 

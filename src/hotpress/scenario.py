@@ -454,24 +454,20 @@ def build_mesh(scenario):
                              scenario.grading_ratio)
 
 
-def build_system(scenario, mesh=None):
-    """Assemble the discrete press system for ``scenario``.
+def build_system(scenario):
+    """Assemble the discrete press system for ``scenario`` on the mesh
+    that :func:`build_mesh` builds from it.
 
     Parameters
     ----------
     scenario : Scenario
-    mesh : Mesh, optional
-        Reuse an existing mesh (must match the scenario geometry);
-        built from the scenario when omitted.
 
     Returns
     -------
     PressSystem
         The assembled system; its mesh is available as ``system.mesh``.
     """
-    if mesh is None:
-        mesh = build_mesh(scenario)
-    return PressSystem(mesh, scenario.material, scenario.schedule,
+    return PressSystem(build_mesh(scenario), scenario.material, scenario.schedule,
                        scenario.ambient, sealed_radius=scenario.sealed_radius)
 
 

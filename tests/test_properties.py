@@ -1,9 +1,17 @@
 """Tests for the constitutive correlations."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
+
+import hotpress
 
 from hotpress import properties as pr
 from hotpress.errors import ConvergenceError, DomainError
@@ -89,6 +97,49 @@ class TestPermeability:
         bad.write_text("475 40\n425 64\n")
         with pytest.raises(DomainError):
             pr.load_permeability_table(bad)
+
+
+class TestPchipMatchesScipy:
+    """The numpy PCHIP reproduces scipy's ``PchipInterpolator`` bit for bit."""
+
+    @pytest.mark.parametrize("table", [
+        None,                                   # the packaged table
+        "425 64\n875 2\n",                      # two rows: a line
+        "425 64\n500 30\n875 2\n",              # three rows
+        # flat runs at the low end and inside, like the packaged 825/875
+        "425 40\n475 40\n525 24\n575 24\n600 11\n675 7\n",
+    ], ids=["packaged", "two-rows", "three-rows", "flat-runs"])
+    def test_bit_identical(self, table, tmp_path):
+        path = None
+        if table is not None:
+            path = tmp_path / "perm.txt"
+            path.write_text(table)
+        params = pr.MaterialParams(rho_s=586.0, perm_table_path=path)
+        dens, log_k = params.perm_density, np.log10(params.perm_values)
+        oracle = PchipInterpolator(dens, log_k, extrapolate=False)
+        rho = np.concatenate([dens, np.linspace(dens[0], dens[-1], 100_001)])
+        coef = pr.pchip_coefficients(dens, log_k)
+        assert np.array_equal(coef, oracle.c)
+        assert np.array_equal(pr.pchip_evaluate(dens, coef, rho), oracle(rho))
+        assert np.array_equal(pr.vertical_permeability(rho, params),
+                              10.0 ** oracle(rho))
+        assert params.perm_z == 10.0 ** oracle(586.0)
+
+
+def test_import_loads_no_interpolation_scipy():
+    # scipy serves only the sparse matrices and SuperLU; scipy.interpolate
+    # alone would pull in some 200 more modules at every start-up
+    env = dict(os.environ)
+    src = str(Path(hotpress.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import hotpress.cli, sys; print(' '.join(m for m in "
+            "('scipy.interpolate', 'scipy.optimize', 'scipy.special') "
+            "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout.split() == []
 
 
 class TestDiffusivity:
