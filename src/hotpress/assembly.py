@@ -433,8 +433,8 @@ class PressSystem:
 
     def constraint_targets(self, u, t):
         """Values the Dirichlet rows hold at time t, in the order of
-        ``constrained_dofs``.  A target may depend on the state of its own
-        node only (``constraint_slopes`` relies on it)."""
+        ``constrained_dofs``.  A target may depend on the temperature of
+        its own node only (``constraint_slopes`` relies on it)."""
         parts = [np.full(len(self.platen_tdofs), self.platen_temperature(t))]
         if not self.sealed_radius:
             t_rim = u[self.rim_tdofs]
@@ -442,19 +442,17 @@ class PressSystem:
         return np.concatenate(parts)
 
     def constraint_slopes(self, u, t):
-        """Derivatives of ``constraint_targets`` with respect to each
-        variable of the constrained dof's own node, shape (n_dofs, 3) and
-        zero on free rows: one centered difference per variable, every
-        node stepped at once by ``fd_step``."""
+        """Derivative of ``constraint_targets`` with respect to the
+        temperature of the constrained dof's own node, shape (n_dofs,) and
+        zero on free rows: one centered difference, every node's
+        temperature stepped at once by ``fd_step``."""
         dofs = self.constrained_dofs()
-        delta = fd_step(u)
-        slopes = np.zeros((self.n_dofs, N_VARS))
-        for c in range(N_VARS):
-            step = np.zeros_like(u)
-            step[c::N_VARS] = delta[c::N_VARS]
-            slopes[dofs, c] = (self.constraint_targets(u + step, t)
-                               - self.constraint_targets(u - step, t)) \
-                / (2.0 * step[dofs - dofs % N_VARS + c])
+        step = np.zeros_like(u)
+        step[IDX_T::N_VARS] = fd_step(u)[IDX_T::N_VARS]
+        slopes = np.zeros(self.n_dofs)
+        slopes[dofs] = (self.constraint_targets(u + step, t)
+                        - self.constraint_targets(u - step, t)) \
+            / (2.0 * step[dofs - dofs % N_VARS + IDX_T])
         return slopes
 
     def apply_dirichlet(self, u, t):
@@ -626,7 +624,7 @@ class PressSystem:
             # rim energy rows: the moisture rate entering the latent coupling
             # follows the constraint H = H_bc(T), not the free moisture row
             rim = self.rim_nodes
-            h_slope = self.constraint_slopes(u, t)[self.rim_hdofs, IDX_T]
+            h_slope = self.constraint_slopes(u, t)[self.rim_hdofs]
             d_t[rim] = -r_t[rim] / (m_tt[rim] + c_th[rim] * h_slope)
             d_h[rim] = h_slope * d_t[rim]
 

@@ -23,14 +23,14 @@ scenario document.  Exit codes: 0 success, 1 verification failure,
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .assembly import P_TOTAL, P_VAPOR, state_fields
 from .errors import HotPressError, ScenarioError
-from .scenario import humphrey_preset, load_scenario, run_scenario, \
-    with_overrides
+from .scenario import humphrey_preset, load_scenario, run_scenario
 from .verification import SUITE_NAMES, run_suite
 
 PRESETS = {"humphrey": humphrey_preset}
@@ -136,9 +136,15 @@ def cmd_run(args):
                 print(f"error: scenario file {path} not found",
                       file=sys.stderr)
                 return 2
-            scenario = load_scenario(path.read_text())
-        scenario = with_overrides(scenario, dt=args.dt, t_end=args.t_end,
-                                  scheme=args.scheme)
+            try:
+                text = path.read_text()
+            except (OSError, UnicodeDecodeError) as exc:
+                print(f"error: scenario file {path}: {exc}", file=sys.stderr)
+                return 2
+            scenario = load_scenario(text)
+        flags = {name: value for name in ("dt", "t_end", "scheme")
+                 if (value := getattr(args, name)) is not None}
+        scenario = replace(scenario, solver=replace(scenario.solver, **flags))
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -25,7 +25,7 @@ one, which the dataclass names by attribute (``t0``), as
 
 import warnings
 from collections import namedtuple
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields
 from typing import get_type_hints
 
 import numpy as np
@@ -52,7 +52,6 @@ __all__ = [
     "load_scenario",
     "run_scenario",
     "save_scenario",
-    "with_overrides",
 ]
 
 
@@ -356,7 +355,8 @@ _FORMAT = {
 # field name -> dotted key; no field name occurs in two classes
 _KEY_OF = {row.name: f"{section}.{key}"
            for section, rows in _FORMAT.items() for key, row in rows.items()}
-_IGNORED = {"material.mm_water"}  # unused key of earlier files
+# keys of earlier files that never changed a result: accepted, ignored
+_IGNORED = {"material.mm_water", "solver.store_all"}
 
 
 def _keyed(exc, dotted):
@@ -491,7 +491,7 @@ def initial_state(scenario, mesh):
                       np.full(n, scenario.rho_a0))
 
 
-def run_scenario(scenario, log=None, store_all=None):
+def run_scenario(scenario, log=None, store_all=False):
     """Build, initialize and time-integrate ``scenario`` in one call.
 
     Parameters
@@ -500,7 +500,7 @@ def run_scenario(scenario, log=None, store_all=None):
     log : callable, optional
         Receives one diagnostic line per step.
     store_all : bool, optional
-        Override ``scenario.solver.store_all``.
+        Keep every accepted state (see :func:`run_transient`).
 
     Returns
     -------
@@ -508,21 +508,5 @@ def run_scenario(scenario, log=None, store_all=None):
     """
     system = build_system(scenario)
     u0 = initial_state(scenario, system.mesh)
-    cfg = scenario.solver
-    if store_all is not None:
-        cfg = replace(cfg, store_all=store_all)
-    return system, run_transient(system, u0, cfg, log=log)
-
-
-def with_overrides(scenario, dt=None, t_end=None, scheme=None):
-    """Copy ``scenario`` with selected solver knobs replaced.
-
-    Used by the command line, where flags take precedence over the
-    scenario document.  ``None`` keeps the existing value.
-    """
-    changes = {name: value for name, value in
-               dict(dt=dt, t_end=t_end, scheme=scheme).items()
-               if value is not None}
-    if not changes:
-        return scenario
-    return replace(scenario, solver=replace(scenario.solver, **changes))
+    return system, run_transient(system, u0, scenario.solver, log=log,
+                                 store_all=store_all)

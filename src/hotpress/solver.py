@@ -52,7 +52,7 @@ import numpy as np
 from scipy.sparse import bsr_matrix
 from scipy.sparse.linalg import splu
 
-from .assembly import N_VARS, fd_step, validate_state
+from .assembly import IDX_T, N_VARS, fd_step, validate_state
 from .errors import HotPressError, LinearSolveError, NewtonError, \
     ScenarioError
 
@@ -95,9 +95,6 @@ class SolverConfig:
     output_times : tuple of float
         Times [s] at which full-field snapshots are recorded; sorted and
         deduplicated on construction.
-    store_all : bool
-        Keep every accepted state in memory (needed for trajectory
-        diagnostics; off by default to bound memory).
 
     Attributes
     ----------
@@ -117,7 +114,6 @@ class SolverConfig:
     scheme: str = "implicit"
     t_end: float = 400.0           # s
     output_times: tuple = ()
-    store_all: bool = False
     newton_tol_rel: ClassVar[float] = 1e-10
     newton_tol_abs: ClassVar[float] = 5e-14
     newton_max_iter: ClassVar[int] = 15
@@ -161,7 +157,7 @@ def fd_jacobian(system, u, t, dt, u_prev):
     The element blocks are summed straight into the 3x3 nodal blocks
     through ``system.element_slots``.  Each constrained row is a unit
     diagonal minus ``system.constraint_slopes``, the centered difference
-    of its target, in its node's diagonal block.
+    of its target, in its node's diagonal block, temperature column.
     """
     elements = system.mesh.elements
     delta = fd_step(u)
@@ -197,8 +193,9 @@ def fd_jacobian(system, u, t, dt, u_prev):
         minlength=len(order.block_row) * N_VARS**2,
     ).reshape(-1, N_VARS, N_VARS)
     node, var = np.divmod(constrained, N_VARS)
-    nodal[order.diag[node], var] = np.eye(N_VARS)[var] \
-        - system.constraint_slopes(u, t)[constrained]
+    rows = np.eye(N_VARS)[var]
+    rows[:, IDX_T] -= system.constraint_slopes(u, t)[constrained]
+    nodal[order.diag[node], var] = rows
     return bsr_matrix((nodal, order.indices, order.indptr), shape=order.shape)
 
 
@@ -432,11 +429,12 @@ def forward_euler_step(system, u, t, dt):
 class TransientResult:
     """Everything a run produces.
 
-    ``times``/``states`` hold every accepted step when ``store_all`` was
-    set, otherwise only the requested output times.  ``outputs`` maps each
-    requested output time to its state in either case.  An implicit run
-    records, per accepted step, its Newton iterations, its dt halvings and
-    its Jacobian builds, those of its failed attempts included.
+    ``times``/``states`` hold the initial state, then every accepted step
+    when ``store_all`` was set, otherwise the output times and the final
+    time.  ``outputs`` maps each output time to its state in either case.
+    An implicit run records, per accepted step, its Newton iterations, its
+    dt halvings and its Jacobian builds, those of its failed attempts
+    included.
     """
 
     times: list = field(default_factory=list)
@@ -458,16 +456,18 @@ class TransientResult:
 _TIME_SNAP = 1e-9
 
 
-def run_transient(system, u0, cfg, log=None):
+def run_transient(system, u0, cfg, log=None, store_all=False):
     """Integrate from t=0 to ``cfg.t_end`` with fixed nominal step
     ``cfg.dt`` and scheme ``cfg.scheme``.
 
     Output times of ``cfg.output_times`` up to ``t_end`` are hit exactly
     (the step shortens when one is closer than dt).  ``t_end = 0``
-    returns just the initial state.  ``cfg.store_all`` keeps every
-    accepted step.  Each accepted step emits one diagnostic log line;
-    pass ``log`` as a callable to stream them.  Implicit runs record the
-    per-step lumped-water balance.
+    returns just the initial state.  Past it, a state is stored at an
+    output time, at the final time, and with ``store_all`` at every step
+    (for trajectory diagnostics; off by default to bound memory).  Each
+    accepted step emits one diagnostic log line; pass ``log`` as a
+    callable to stream them.  Implicit runs record the per-step
+    lumped-water balance.
 
     Returns
     -------
@@ -519,25 +519,14 @@ def run_transient(system, u0, cfg, log=None):
             t_new = t + dt_step
             res.dt_used.append(dt_step)
             emit(f"step t={t_new:.6g} dt={dt_step:.6g} scheme=explicit")
-        # snap to the targeted time when within tolerance
-        if wanted and abs(t_new - wanted[0]) <= _TIME_SNAP:
-            t_new = wanted[0]
+        hit = bool(wanted) and abs(t_new - wanted[0]) <= _TIME_SNAP
+        if hit:  # snap to the output time
+            t_new = wanted.pop(0)
+            res.outputs[t_new] = u.copy()
         t = t_new
-        if cfg.store_all:
+        if store_all or hit or t >= t_end - _TIME_SNAP:
             res.times.append(t)
             res.states.append(u.copy())
-        if wanted and abs(t - wanted[0]) <= _TIME_SNAP:
-            res.outputs[wanted[0]] = u.copy()
-            if not cfg.store_all:
-                res.times.append(t)
-                res.states.append(u.copy())
-            wanted = wanted[1:]
-
-    # the stored trajectory always ends with the final state, whether or
-    # not t_end coincides with an output time
-    if abs(res.times[-1] - t) > _TIME_SNAP:
-        res.times.append(t)
-        res.states.append(u.copy())
     res.wall_time = time.perf_counter() - started
     emit(f"done t={t:.6g} steps={len(res.dt_used)} "
          f"wall={res.wall_time:.2f}s")

@@ -86,6 +86,13 @@ __all__ = [
 # partial pressure:
 _RV_PER_PV = 6e-6  # (kg/m3) per (N/m2)
 
+# gates of the conservation suite, relative to the initial total water,
+# and of the jacobian suite, and the seed of the jacobian suite's samples
+SEALED_DRIFT_TOL = 1e-6
+OPEN_BALANCE_TOL = 1e-8
+JACOBIAN_TOL = 1e-5
+JACOBIAN_SEED = 20260823
+
 
 @dataclass
 class CheckResult:
@@ -474,8 +481,7 @@ def mms_suite():
 # conservation
 # ---------------------------------------------------------------------------
 
-def conservation_suite(scenario=None, open_run=None,
-                       sealed_tol=1e-6, open_tol=1e-8):
+def conservation_suite(scenario=None, open_run=None):
     """Sealed total-water drift and open per-step balance.
 
     Parameters
@@ -488,17 +494,16 @@ def conservation_suite(scenario=None, open_run=None,
     sc = scenario if scenario is not None else humphrey_preset()
 
     sealed_sc = replace(sc, sealed_radius=True,
-                        solver=replace(sc.solver, store_all=True,
-                                       output_times=()))
-    system_s, res_s = run_scenario(sealed_sc)
+                        solver=replace(sc.solver, output_times=()))
+    system_s, res_s = run_scenario(sealed_sc, store_all=True)
     water = np.array([system_s.lumped_water(s) for s in res_s.states])
     drift = float(np.max(np.abs(water - water[0])) / water[0])
     n_steps = len(res_s.dt_used)
     checks = [CheckResult(
-        "sealed water conservation", drift <= sealed_tol,
-        value=drift, threshold=sealed_tol,
+        "sealed water conservation", drift <= SEALED_DRIFT_TOL,
+        value=drift, threshold=SEALED_DRIFT_TOL,
         detail=f"max relative drift {drift:.2e} over {n_steps} steps "
-               f"(tol {sealed_tol:g})")]
+               f"(tol {SEALED_DRIFT_TOL:g})")]
 
     if open_run is None:
         open_run = run_scenario(replace(
@@ -510,10 +515,11 @@ def conservation_suite(scenario=None, open_run=None,
                                             res_o.dt_used):
         worst = max(worst, abs(storage - influx) * dt / w0)
     checks.append(CheckResult(
-        "open water balance", worst <= open_tol,
-        value=worst, threshold=open_tol,
+        "open water balance", worst <= OPEN_BALANCE_TOL,
+        value=worst, threshold=OPEN_BALANCE_TOL,
         detail=f"max per-step imbalance {worst:.2e} of total water over "
-               f"{len(res_o.water_balance)} steps (tol {open_tol:g})"))
+               f"{len(res_o.water_balance)} steps "
+               f"(tol {OPEN_BALANCE_TOL:g})"))
     return checks
 
 
@@ -525,11 +531,11 @@ def press_trajectory(t_end=40.0, dt=1.0):
     """Short segment of the press run with every accepted state stored."""
     sc = humphrey_preset()
     sc = replace(sc, solver=replace(sc.solver, t_end=t_end, dt=dt,
-                                    store_all=True, output_times=()))
-    return run_scenario(sc)
+                                    output_times=()))
+    return run_scenario(sc, store_all=True)
 
 
-def jacobian_suite(trajectory=None, n_checks=10, seed=20260823, tol=1e-5):
+def jacobian_suite(trajectory=None, n_checks=10):
     """Directional-derivative consistency of the sparse Jacobian.
 
     Samples random stored states from a press trajectory, builds the
@@ -542,7 +548,7 @@ def jacobian_suite(trajectory=None, n_checks=10, seed=20260823, tol=1e-5):
     times, states = result.times, result.states
     if len(states) < 2:
         raise ValueError("trajectory must contain at least one step")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(JACOBIAN_SEED)
     scale = np.tile(STATE_SCALE, system.mesh.n_nodes)
     worst = 0.0
     for i in rng.integers(1, len(states), size=n_checks):
@@ -558,10 +564,10 @@ def jacobian_suite(trajectory=None, n_checks=10, seed=20260823, tol=1e-5):
         err = float(np.linalg.norm(jac @ w - fd) / np.linalg.norm(fd))
         worst = max(worst, err)
     return [CheckResult(
-        "jacobian directional consistency", worst < tol,
-        value=worst, threshold=tol,
+        "jacobian directional consistency", worst < JACOBIAN_TOL,
+        value=worst, threshold=JACOBIAN_TOL,
         detail=f"max relative error {worst:.2e} at {n_checks} sampled "
-               f"states (tol {tol:g})")]
+               f"states (tol {JACOBIAN_TOL:g})")]
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,14 @@ class TestRunErrors:
         assert rc == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_unreadable_scenario_file_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_bytes(b"\xff\xfe\x00bad")
+        rc = cli.main(["run", "--scenario", str(bad), "--out", str(tmp_path)])
+        assert rc == 2, f"an unreadable file is a usage error, got exit {rc}"
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scenario file {bad}: "), err
+
     def test_invalid_scenario_document(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("geometry: 7\n")

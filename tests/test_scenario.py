@@ -27,7 +27,6 @@ from hotpress.scenario import (
     load_scenario,
     run_scenario,
     save_scenario,
-    with_overrides,
 )
 
 
@@ -205,7 +204,6 @@ def _scenarios(draw):
     solver = draw(st.builds(
         SolverConfig, dt=st.floats(1e-6, 1e4), t_end=st.floats(0.0, 1e5),
         output_times=st.lists(st.floats(1e-6, 1e5), max_size=5).map(tuple),
-        store_all=st.booleans(),
         scheme=st.sampled_from(("implicit", "explicit"))))
     # below 90 degC saturated air holds under 0.71 atm of vapor, so no
     # drawn ambient is super-saturated
@@ -243,7 +241,7 @@ class TestSerialization:
             material=MaterialParams(rho_s=700.0, porosity_model="simple",
                                     bulk_density=650.0),
             solver=SolverConfig(dt=0.5, scheme="explicit", t_end=3.0,
-                                output_times=(1.0, 3.0), store_all=True),
+                                output_times=(1.0, 3.0)),
         )
         again = load_scenario(save_scenario(sc))
         assert again == sc, "non-default fields lost in the round trip"
@@ -287,7 +285,7 @@ class TestSerialization:
     def test_saved_file_holds_no_constant(self):
         doc = yaml.safe_load(save_scenario(humphrey_preset()))
         assert list(doc["solver"]) == ["dt", "scheme", "t_end",
-                                       "output_times", "store_all"]
+                                       "output_times"]
         for dotted in REMOVED_KEYS:
             section, key = dotted.split(".")
             assert key not in doc[section], dotted
@@ -323,13 +321,16 @@ class TestSerialization:
         assert loaded.solver == SolverConfig(), \
             "missing solver section should fall back to defaults"
 
-    def test_files_with_and_without_mm_water_load(self):
-        # earlier versions wrote material.mm_water; it is accepted and ignored
+    @pytest.mark.parametrize("dotted, value", [
+        ("material.mm_water", 18.0), ("solver.store_all", True)])
+    def test_files_with_and_without_ignored_key_load(self, dotted, value):
+        # earlier versions wrote these keys; each is accepted and ignored
         sc = humphrey_preset()
         text = save_scenario(sc)
-        assert "mm_water" not in text
-        old = text.replace("material:\n", "material:\n  mm_water: 18.0\n")
-        assert "mm_water: 18.0" in old
+        section, key = dotted.split(".")
+        assert key not in yaml.safe_load(text)[section]
+        old = _with_field(dotted, value)
+        assert yaml.safe_load(old)[section][key] == value
         assert load_scenario(text) == sc
         assert load_scenario(old) == sc
 
@@ -389,8 +390,6 @@ class TestMalformedFields:
     @pytest.mark.parametrize("dotted, value", [
         ("solver.dt", "abc"),
         ("solver.t_end", "10"),
-        ("solver.store_all", 3),
-        ("solver.store_all", "yes"),
         ("mesh.n_r", "abc"),
         ("mesh.n_r", True),
         ("mesh.n_z", None),
@@ -454,15 +453,6 @@ class TestBuildAndRun:
     def test_sealed_flag_propagates(self):
         sc = replace(humphrey_preset(), sealed_radius=True)
         assert build_system(sc).sealed_radius is True
-
-    def test_with_overrides(self):
-        sc = humphrey_preset()
-        out = with_overrides(sc, dt=0.5, t_end=10.0, scheme="explicit")
-        assert (out.solver.dt, out.solver.t_end, out.solver.scheme) == \
-            (0.5, 10.0, "explicit")
-        assert out.r_ext == sc.r_ext, "overrides must not touch the physics"
-        assert with_overrides(sc) is sc, \
-            "no overrides should return the scenario unchanged"
 
     def test_run_scenario_short(self):
         sc = replace(humphrey_preset(), n_r=6, n_z=6,

@@ -179,9 +179,8 @@ class TestJacobianReuse:
     @pytest.fixture(scope="class")
     def preset_run(self, preset):
         system, u0 = preset
-        cfg = replace(humphrey_preset().solver, t_end=10.0, output_times=(),
-                      store_all=True)
-        return system, cfg, slv.run_transient(system, u0, cfg)
+        cfg = replace(humphrey_preset().solver, t_end=10.0, output_times=())
+        return system, cfg, slv.run_transient(system, u0, cfg, store_all=True)
 
     def test_preset_builds_fewer_jacobians_and_meets_every_target(
             self, preset_run):
@@ -493,9 +492,24 @@ class TestRunTransient:
 
     def test_store_all_keeps_every_step(self, system, u_start):
         res = slv.run_transient(system, u_start, SolverConfig(
-            t_end=0.5, dt=0.1, store_all=True))
+            t_end=0.5, dt=0.1), store_all=True)
         assert len(res.times) == len(res.dt_used) + 1
         assert res.times[0] == 0.0 and res.times[-1] == pytest.approx(0.5)
+
+    def test_final_state_stored_off_the_grid(self, system, u_start):
+        """t_end = 0.25 is neither an output time nor a multiple of dt:
+        the last step is shortened to end there, and its state closes the
+        stored trajectory whether or not every step is kept."""
+        cfg = SolverConfig(t_end=0.25, dt=0.1, output_times=(0.1,))
+        every = slv.run_transient(system, u_start, cfg, store_all=True)
+        some = slv.run_transient(system, u_start, cfg)
+        assert every.dt_used == pytest.approx([0.1, 0.1, 0.05])
+        assert every.times == pytest.approx([0.0, 0.1, 0.2, 0.25])
+        assert some.times == [every.times[i] for i in (0, 1, 3)]
+        assert all(np.array_equal(u, every.states[i])
+                   for u, i in zip(some.states, (0, 1, 3), strict=True))
+        assert list(some.outputs) == list(every.outputs) == [0.1]
+        assert np.array_equal(some.outputs[0.1], every.states[1])
 
     def test_log_lines_emitted(self, system, u_start):
         res = slv.run_transient(system, u_start,
@@ -505,9 +519,9 @@ class TestRunTransient:
         assert "newton=" in step_lines[0] and "resid=" in step_lines[0]
 
     def test_deterministic(self, system, u_start):
-        cfg = SolverConfig(t_end=0.4, dt=0.2, store_all=True)
-        r1 = slv.run_transient(system, u_start, cfg)
-        r2 = slv.run_transient(system, u_start, cfg)
+        cfg = SolverConfig(t_end=0.4, dt=0.2)
+        r1 = slv.run_transient(system, u_start, cfg, store_all=True)
+        r2 = slv.run_transient(system, u_start, cfg, store_all=True)
         assert all(np.array_equal(a, b) for a, b in zip(r1.states, r2.states))
 
     def test_water_balance_recorded(self, system, u_start):
