@@ -335,7 +335,7 @@ class PressSystem:
         self.platen_temperature = platen_temperature
         self.t_atm, self.hr_atm, self.p_atm = ambient
         self.sealed_radius = sealed_radius
-        self.epsilon = params.porosity_value()
+        self.epsilon = params.porosity
         self.n_dofs = N_VARS * mesh.n_nodes
 
         # exterior partial pressures (Dalton)

@@ -132,10 +132,6 @@ def cmd_run(args):
             scenario = maker()
         else:
             path = Path(args.scenario)
-            if not path.is_file():
-                print(f"error: scenario file {path} not found",
-                      file=sys.stderr)
-                return 2
             try:
                 text = path.read_text()
             except (OSError, UnicodeDecodeError) as exc:

@@ -17,6 +17,9 @@ package:
 
 The fitted coefficients are hard numbers from published measurements; they
 are not tunable knobs and live next to the formulas that use them.
+
+:class:`MaterialParams` holds the constants of one board and fixes, when it
+is built, the porosity and vertical permeability that they give.
 """
 
 from __future__ import annotations
@@ -99,7 +102,7 @@ def gas_viscosity(t_c):
 
 
 def load_permeability_table(path=None):
-    """Read the density/permeability table shipped with the package.
+    """Read a density/permeability table, by default the packaged one.
 
     The file has two columns: density [kg/m3] and permeability in units of
     1e-15 m2.  Returns ``(density, permeability_m2)`` arrays with the scale
@@ -306,31 +309,6 @@ def specific_heat(t_k, h_frac):
     return cp if np.ndim(cp) else float(cp)
 
 
-def porosity(rho, params):
-    """Void fraction of the mat under the configured porosity model.
-
-    ``simple``: one minus the ratio of current bulk density to the compacted
-    dry-material density.  ``suzuki``: mixture rule over fiber and resin
-    volume with the resin mass ratio ``y_r``; depends on the dry board
-    density only.
-
-    Returns a value in [0, 1); exactly 0 means a fully dense mat (allowed
-    here, rejected by scenario validation for actual runs).
-    """
-    if params.porosity_model == "simple":
-        eps = 1.0 - float(rho) / params.rho_s
-    else:  # suzuki
-        eps = 1.0 - params.rho_s * (1.0 / params.rho_f + params.y_r / params.rho_r) / (
-            1.0 + params.y_r
-        )
-    if not 0.0 <= eps < 1.0:
-        raise DomainError(
-            f"porosity {eps:.4f} outside [0, 1) for model "
-            f"{params.porosity_model!r} (rho={rho}, rho_s={params.rho_s})"
-        )
-    return eps
-
-
 # ---------------------------------------------------------------------------
 # sorption isotherm
 # ---------------------------------------------------------------------------
@@ -483,56 +461,55 @@ class MaterialParams:
     ----------
     rho_s : float
         Dry board density [kg/m3].
-    bulk_density : float, optional
-        Current bulk density [kg/m3] for the ``simple`` porosity model;
-        defaults to ``rho_s`` (fully compacted).
     kappa_anisotropy, perm_anisotropy : float
         In-plane/vertical ratios for conductivity (1.5) and gas
         permeability (59).
-    porosity_model : str
-        ``"suzuki"`` or ``"simple"``.
     rho_f, rho_r, y_r : float
-        Fiber density, resin density [kg/m3] and resin mass ratio for the
+        Fiber density, resin density [kg/m3] and resin mass ratio of the
         Suzuki porosity model.
-    perm_table_path : str or None
-        Override for the permeability data file (default: packaged table).
     isotherm : HailwoodHorrobinIsotherm
         Replaceable sorption surface.
+
+    Attributes
+    ----------
+    porosity : float
+        Void fraction, in (0, 1): the Suzuki mixture rule over fiber and
+        resin volume at density ``rho_s``.  A board without pores is refused.
+    perm_z : float
+        Vertical gas permeability [m2] at density ``rho_s``.
+    perm_density, perm_values : ndarray
+        The packaged permeability table [kg/m3, m2].
     """
 
     rho_s: float
-    bulk_density: float | None = None
     kappa_anisotropy: float = 1.5
     perm_anisotropy: float = 59.0
-    porosity_model: str = "suzuki"
     rho_f: float = 900.0           # kg/m3
     rho_r: float = 1100.0          # kg/m3
     y_r: float = 0.085
-    perm_table_path: str | None = None
     isotherm: HailwoodHorrobinIsotherm = field(
         default_factory=HailwoodHorrobinIsotherm.calibrated
     )
 
     def __post_init__(self):
         # every message starts with the name of the offending field
-        for name in ("rho_s", "bulk_density", "kappa_anisotropy",
-                     "perm_anisotropy", "rho_f", "rho_r"):
+        for name in ("rho_s", "kappa_anisotropy", "perm_anisotropy",
+                     "rho_f", "rho_r"):
             value = getattr(self, name)
-            if value is None and name == "bulk_density":  # means rho_s
-                continue
             if not (np.isfinite(value) and value > 0.0):
                 raise DomainError(f"{name} must be positive and finite, "
                                   f"got {value!r}")
         if not 0.0 <= self.y_r < 1.0:
             raise DomainError(f"y_r must lie in [0, 1), got {self.y_r!r}")
-        if self.porosity_model not in ("simple", "suzuki"):
-            raise DomainError("porosity_model must be 'simple' or 'suzuki', "
-                              f"got {self.porosity_model!r}")
-        try:
-            dens, perm = load_permeability_table(self.perm_table_path)
-        except (OSError, ValueError) as exc:
-            raise DomainError(f"perm_table_path {self.perm_table_path!r}: "
-                              f"{exc}") from exc
+        # the gas balances divide by the porosity
+        eps = 1.0 - self.rho_s * (1.0 / self.rho_f + self.y_r / self.rho_r) / (
+            1.0 + self.y_r
+        )
+        if eps <= 0.0:
+            raise DomainError(f"rho_s {self.rho_s!r} kg/m3 leaves no pore "
+                              f"space (porosity {eps:.4f})")
+        object.__setattr__(self, "porosity", eps)
+        dens, perm = load_permeability_table()
         object.__setattr__(self, "perm_density", dens)
         object.__setattr__(self, "perm_values", perm)
         # PCHIP, a monotone cubic interpolant (Fritsch & Carlson 1980), of
@@ -542,17 +519,3 @@ class MaterialParams:
                            pchip_coefficients(dens, np.log10(perm)))
         # the board's vertical permeability [m2], fixed with rho_s
         object.__setattr__(self, "perm_z", vertical_permeability(self.rho_s, self))
-
-    def porosity_value(self):
-        """Porosity of this board (bulk density defaults to rho_s)."""
-        rho = self.rho_s if self.bulk_density is None else self.bulk_density
-        return porosity(rho, self)
-
-    def __eq__(self, other):
-        if not isinstance(other, MaterialParams):
-            return NotImplemented
-        mine = {k: v for k, v in self.__dict__.items() if not k.startswith("_")
-                and k not in ("perm_density", "perm_values")}
-        theirs = {k: v for k, v in other.__dict__.items() if not k.startswith("_")
-                  and k not in ("perm_density", "perm_values")}
-        return mine == theirs

@@ -32,7 +32,7 @@ import numpy as np
 import yaml
 
 from .assembly import PressSystem, pack_state
-from .errors import DomainError, HotPressError, ScenarioError
+from .errors import HotPressError, ScenarioError
 from .mesh import build_graded_mesh
 from .properties import (
     HailwoodHorrobinIsotherm,
@@ -127,7 +127,8 @@ class Scenario:
         Coarsest/finest element-size ratio of the graded mesh (cells
         cluster toward the rim and the platen).
     material : MaterialParams
-        Constitutive constants for the board.
+        Constitutive constants for the board; building them fixes its
+        porosity and permeability and refuses a board without pores.
     schedule : PressSchedule
         Platen temperature program.
     t0, h0, rho_a0 : float
@@ -172,17 +173,6 @@ class Scenario:
             object.__setattr__(self, name, int(value))
         if not isinstance(self.material, MaterialParams):
             raise ScenarioError("material must be a MaterialParams instance")
-        # the gas balances divide by the porosity: it must lie in (0, 1)
-        key = "bulk_density" if self.material.porosity_model == "simple" \
-            else "rho_s"
-        try:
-            eps = self.material.porosity_value()
-        except DomainError as exc:
-            raise ScenarioError(f"material.{key}: {exc}") from exc
-        if eps <= 0.0:
-            raise ScenarioError(
-                f"material.{key}: porosity 0 for model "
-                f"{self.material.porosity_model!r} leaves no pore space")
         if not isinstance(self.schedule, PressSchedule):
             raise ScenarioError("schedule must be a PressSchedule instance")
         if not isinstance(self.solver, SolverConfig):
@@ -276,11 +266,6 @@ def _text(value, where):
     return value
 
 
-def _or_null(read):
-    """``read``, but a null stays None."""
-    return lambda value, where: None if value is None else read(value, where)
-
-
 def _times(value, where):
     if not isinstance(value, list):
         raise ScenarioError(f"{where} must be a list of times")
@@ -313,8 +298,7 @@ def _same(value):
 # field value -> YAML value of each annotated field type
 _CODECS = {
     float: (_number, _same), int: (_number, _same), bool: (_flag, _same),
-    float | None: (_or_null(_number), _same), str: (_text, _same),
-    str | None: (_or_null(_text), _same), tuple: (_times, list),
+    str: (_text, _same), tuple: (_times, list),
     PressSchedule: (_schedule, lambda s: [list(p) for p in s.breakpoints]),
     HailwoodHorrobinIsotherm: (_isotherm, lambda iso: iso.scale),
 }

@@ -488,7 +488,7 @@ def run_transient(system, u0, cfg, log=None, store_all=False):
     wanted = [x for x in cfg.output_times if x <= t_end]
     lagged = LaggedJacobian()
     res.times.append(0.0)
-    res.states.append(u.copy())
+    res.states.append(u)
 
     if cfg.scheme == "explicit":
         advisory = system.stable_dt_advisory(u)
@@ -522,11 +522,11 @@ def run_transient(system, u0, cfg, log=None, store_all=False):
         hit = bool(wanted) and abs(t_new - wanted[0]) <= _TIME_SNAP
         if hit:  # snap to the output time
             t_new = wanted.pop(0)
-            res.outputs[t_new] = u.copy()
+            res.outputs[t_new] = u
         t = t_new
         if store_all or hit or t >= t_end - _TIME_SNAP:
             res.times.append(t)
-            res.states.append(u.copy())
+            res.states.append(u)
     res.wall_time = time.perf_counter() - started
     emit(f"done t={t:.6g} steps={len(res.dt_used)} "
          f"wall={res.wall_time:.2f}s")

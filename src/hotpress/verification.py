@@ -672,10 +672,10 @@ def properties_suite():
     rel_max = float(np.max(np.abs(fit - params.perm_values)
                            / params.perm_values))
     checks.append(CheckResult(
-        "permeability fit through table", rel_max <= 0.15,
-        value=rel_max, threshold=0.15,
-        detail=f"max rel dev {rel_max:.2%} at "
-               f"{len(params.perm_density)} tabulated densities (tol 15%)"))
+        "permeability interpolant through table", rel_max <= 1e-12,
+        value=rel_max, threshold=1e-12,
+        detail=f"max rel dev {rel_max:.1e} at "
+               f"{len(params.perm_density)} tabulated densities (tol 1e-12)"))
 
     cp = specific_heat(273.15, 0.0)
     dev = abs(cp - 1120.2)

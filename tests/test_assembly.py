@@ -111,8 +111,7 @@ class TestDerivedState:
         assert th_neg[asm.RV_H] == 0.0 < th_zero[asm.RV_H]
 
     def test_porosity_comes_from_params(self, open_system, params):
-        assert open_system.epsilon == pytest.approx(params.porosity_value(),
-                                                    rel=1e-14)
+        assert open_system.epsilon == params.porosity
         assert open_system.row_scale[asm.IDX_A] == 1.0 / open_system.epsilon
 
     def test_vectorized_matches_scalar(self, params):

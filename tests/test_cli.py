@@ -185,10 +185,21 @@ class TestRunErrors:
             f"the error should list available presets: {err}"
 
     def test_missing_scenario_file(self, tmp_path, capsys):
-        rc = cli.main(["run", "--scenario", str(tmp_path / "ghost.yaml"),
+        ghost = tmp_path / "ghost.yaml"
+        rc = cli.main(["run", "--scenario", str(ghost),
                        "--out", str(tmp_path)])
         assert rc == 2
-        assert "not found" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scenario file {ghost}: "), err
+        assert "No such file or directory" in err
+
+    def test_directory_as_scenario_file(self, tmp_path, capsys):
+        rc = cli.main(["run", "--scenario", str(tmp_path),
+                       "--out", str(tmp_path)])
+        assert rc == 2, f"a directory is a usage error, got exit {rc}"
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scenario file {tmp_path}: "), err
+        assert "Is a directory" in err
 
     def test_unreadable_scenario_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
@@ -225,22 +236,28 @@ class TestRunErrors:
         assert "material.kappa_anisotropy" in capsys.readouterr().err
 
     def test_removed_key_exits_2(self, tmp_path, scenario_file, capsys):
-        # the gas constant is the constant properties.R_GAS
-        doc = yaml.safe_load(scenario_file.read_text())
-        doc["material"]["r_gas"] = 8314.0
+        # the gas constant is the constant properties.R_GAS, and the
+        # Suzuki rule is the only porosity model
         bad = tmp_path / "bad.yaml"
-        bad.write_text(yaml.safe_dump(doc))
-        rc = cli.main(["run", "--scenario", str(bad), "--out", str(tmp_path)])
-        assert rc == 2, f"a removed key is a usage error, got exit {rc}"
-        err = capsys.readouterr().err
-        assert err.startswith("error: unknown field(s): material.r_gas"), err
-        assert list(tmp_path.iterdir()) == [bad], "no output may be written"
+        for key, value in (("r_gas", 8314.0), ("porosity_model", "suzuki")):
+            doc = yaml.safe_load(scenario_file.read_text())
+            doc["material"][key] = value
+            bad.write_text(yaml.safe_dump(doc))
+            rc = cli.main(["run", "--scenario", str(bad),
+                           "--out", str(tmp_path)])
+            assert rc == 2, f"a removed key is a usage error, got exit {rc}"
+            err = capsys.readouterr().err
+            assert err.startswith(
+                f"error: unknown field(s): material.{key}"), err
+            assert list(tmp_path.iterdir()) == [bad], \
+                "no output may be written"
 
     @pytest.mark.parametrize("material, field", [
-        ({"porosity_model": "simple"}, "material.bulk_density"),  # porosity 0
-        ({"rho_s": 1200.0}, "material.rho_s"),          # Suzuki porosity -0.31
-        ({"porosity_model": "simple", "bulk_density": 700.0},
-         "material.bulk_density"),
+        # a board without pore space is named by its density, whichever
+        # constant leaves no room
+        ({"rho_f": 500.0}, "material.rho_s"),           # porosity -0.12
+        ({"rho_s": 1200.0}, "material.rho_s"),          # porosity -0.31
+        ({"rho_r": 100.0, "y_r": 0.5}, "material.rho_s"),  # porosity -1.39
         ({"isotherm_scale": -1.0}, "material.isotherm_scale"),
         ({"isotherm_scale": 0.0}, "material.isotherm_scale"),
     ])

@@ -69,7 +69,7 @@ class TestPermeability:
     def test_table_points_reproduced(self, params):
         fit = pr.vertical_permeability(params.perm_density, params)
         rel = np.abs(fit / params.perm_values - 1.0)
-        assert np.max(rel) < 0.15, f"worst table mismatch {np.max(rel):.1%}"
+        assert np.max(rel) < 1e-12, f"worst table mismatch {np.max(rel):.1e}"
 
     def test_clamped_outside_range(self, params):
         low = pr.vertical_permeability(300.0, params)
@@ -114,13 +114,20 @@ class TestPchipMatchesScipy:
         if table is not None:
             path = tmp_path / "perm.txt"
             path.write_text(table)
-        params = pr.MaterialParams(rho_s=586.0, perm_table_path=path)
-        dens, log_k = params.perm_density, np.log10(params.perm_values)
+        dens, perm = pr.load_permeability_table(path)
+        log_k = np.log10(perm)
         oracle = PchipInterpolator(dens, log_k, extrapolate=False)
         rho = np.concatenate([dens, np.linspace(dens[0], dens[-1], 100_001)])
         coef = pr.pchip_coefficients(dens, log_k)
         assert np.array_equal(coef, oracle.c)
         assert np.array_equal(pr.pchip_evaluate(dens, coef, rho), oracle(rho))
+
+    def test_board_permeability_bit_identical(self):
+        params = pr.MaterialParams(rho_s=586.0)
+        dens = params.perm_density
+        oracle = PchipInterpolator(dens, np.log10(params.perm_values),
+                                   extrapolate=False)
+        rho = np.concatenate([dens, np.linspace(dens[0], dens[-1], 100_001)])
         assert np.array_equal(pr.vertical_permeability(rho, params),
                               10.0 ** oracle(rho))
         assert params.perm_z == 10.0 ** oracle(586.0)
@@ -220,22 +227,17 @@ class TestHeats:
 
 
 class TestPorosity:
-    def test_simple_half_dense(self):
-        p = pr.MaterialParams(rho_s=600.0, porosity_model="simple", bulk_density=300.0)
-        assert pr.porosity(300.0, p) == pytest.approx(0.5)
-
-    def test_simple_fully_dense_is_zero(self):
-        p = pr.MaterialParams(rho_s=600.0, porosity_model="simple")
-        assert pr.porosity(600.0, p) == 0.0
-
-    def test_simple_overdense_rejected(self):
-        p = pr.MaterialParams(rho_s=600.0, porosity_model="simple")
-        with pytest.raises(DomainError):
-            pr.porosity(700.0, p)
-
     def test_suzuki_reference(self):
         p = pr.MaterialParams(rho_s=600.0)
-        assert pr.porosity(600.0, p) == pytest.approx(0.3428, abs=2e-4)
+        assert p.porosity == pytest.approx(0.3428, abs=2e-4)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"rho_s": 1200.0},                  # denser than fiber and resin
+        {"rho_s": 586.0, "rho_f": 500.0},   # fiber lighter than the board
+    ])
+    def test_no_pore_space_refused_as_rho_s(self, kwargs):
+        with pytest.raises(DomainError, match="^rho_s .*no pore space"):
+            pr.MaterialParams(**kwargs)
 
 
 class TestSorptionIsotherm:
@@ -310,10 +312,8 @@ class TestMaterialParams:
             pr.MaterialParams(rho_s=-1.0)
         with pytest.raises(DomainError):
             pr.MaterialParams(rho_s=600.0, y_r=1.5)
-        with pytest.raises(DomainError):
-            pr.MaterialParams(rho_s=600.0, porosity_model="nope")
 
-    @pytest.mark.parametrize("name", ["rho_s", "bulk_density",
+    @pytest.mark.parametrize("name", ["rho_s",
                                       "kappa_anisotropy", "perm_anisotropy",
                                       "rho_f", "rho_r", "y_r"])
     @pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])

@@ -3,7 +3,6 @@
 import warnings
 from collections import Counter
 from dataclasses import fields, replace
-from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -166,7 +165,7 @@ class TestHumphreyPreset:
     def test_material_density(self):
         sc = humphrey_preset()
         assert sc.material.rho_s == 586.0
-        assert sc.material.porosity_model == "suzuki"
+        assert sc.material.porosity == pytest.approx(0.3582, abs=1e-4)
 
     def test_solver_settings(self):
         sc = humphrey_preset()
@@ -180,24 +179,19 @@ class TestHumphreyPreset:
         assert humphrey_preset().sealed_radius is False
 
 
-_PACKAGED_TABLE = resources.files("hotpress") / "data/permeability_table.txt"
-
-
 @st.composite
 def _scenarios(draw):
     """Scenarios with every field the YAML format holds drawn at random."""
-    material = draw(st.builds(
-        MaterialParams, rho_s=st.floats(200.0, 1200.0),
-        bulk_density=st.none() | st.floats(200.0, 1200.0),
+    board = draw(st.fixed_dictionaries(dict(
+        rho_s=st.floats(200.0, 1200.0),
         kappa_anisotropy=st.floats(0.1, 100.0),
         perm_anisotropy=st.floats(0.1, 100.0),
-        porosity_model=st.sampled_from(("suzuki", "simple")),
         rho_f=st.floats(500.0, 2000.0), rho_r=st.floats(500.0, 2000.0),
         y_r=st.floats(0.0, 0.5),
-        perm_table_path=st.sampled_from((None, str(_PACKAGED_TABLE))),
         isotherm=st.builds(HailwoodHorrobinIsotherm,
-                           scale=st.floats(0.1, 10.0))))
-    assume(_has_pores(material))  # a scenario rejects the others
+                           scale=st.floats(0.1, 10.0)))))
+    assume(_has_pores(board))  # MaterialParams refuses the others
+    material = MaterialParams(**board)
     points = sorted(draw(st.lists(
         st.tuples(st.floats(0.0, 1e4), st.floats(-273.0, 1e3)),
         min_size=1, max_size=4, unique_by=lambda p: p[0])))
@@ -219,13 +213,14 @@ def _scenarios(draw):
         sealed_radius=st.booleans(), solver=st.just(solver)))
 
 
-# scenario keys of earlier files whose values are now constants, with the
-# values of those constants
+# scenario keys of earlier files whose values are now fixed, with the
+# values the preset's file held
 REMOVED_KEYS = {
     "solver.fd_epsilon_rel": 1e-7, "solver.newton_tol_rel": 1e-10,
     "solver.newton_tol_abs": 5e-14, "solver.newton_max_iter": 15,
     "material.r_gas": 8314.0, "material.mm_air": 28.96,
-    "material.cp_vapor": 1880.0,
+    "material.cp_vapor": 1880.0, "material.porosity_model": "suzuki",
+    "material.bulk_density": None, "material.perm_table_path": None,
 }
 
 
@@ -238,8 +233,7 @@ class TestSerialization:
     def test_round_trip_with_non_default_fields(self):
         sc = replace(
             humphrey_preset(), n_r=7, grading_ratio=2.5, sealed_radius=True,
-            material=MaterialParams(rho_s=700.0, porosity_model="simple",
-                                    bulk_density=650.0),
+            material=MaterialParams(rho_s=700.0, rho_f=950.0, y_r=0.1),
             solver=SolverConfig(dt=0.5, scheme="explicit", t_end=3.0,
                                 output_times=(1.0, 3.0)),
         )
@@ -276,8 +270,8 @@ class TestSerialization:
 
     @pytest.mark.parametrize("dotted, value", REMOVED_KEYS.items())
     def test_removed_key_rejected(self, dotted, value):
-        # each is a constant now; ignoring the key would drop, without a
-        # word, a value that changed results
+        # each is fixed now; ignoring the key would drop, without a word,
+        # a value that could change results
         with pytest.raises(ScenarioError, match=r"unknown field\(s\): "
                            + dotted.replace(".", r"\.") + "$"):
             load_scenario(_with_field(dotted, value))
@@ -370,12 +364,14 @@ class TestSerialization:
             "the README example should be the humphrey preset"
 
 
-def _has_pores(material):
-    """Whether the board's porosity lies in (0, 1)."""
+def _has_pores(board):
+    """Whether the board of the MaterialParams arguments ``board`` has
+    pore space; MaterialParams refuses one that has none."""
     try:
-        return material.porosity_value() > 0.0
+        MaterialParams(**board)
     except DomainError:
         return False
+    return True
 
 
 def _with_field(dotted, value):
@@ -394,13 +390,12 @@ class TestMalformedFields:
         ("mesh.n_r", True),
         ("mesh.n_z", None),
         ("material.kappa_anisotropy", "x"),
-        ("material.bulk_density", "dense"),
     ])
     def test_rejected_with_field_named(self, dotted, value):
         with pytest.raises(ScenarioError, match=dotted.replace(".", r"\.")):
             load_scenario(_with_field(dotted, value))
 
-    @pytest.mark.parametrize("key", ["rho_s", "bulk_density",
+    @pytest.mark.parametrize("key", ["rho_s",
                                      "kappa_anisotropy", "perm_anisotropy",
                                      "rho_f", "rho_r", "y_r"])
     def test_out_of_range_material_named(self, key):

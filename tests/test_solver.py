@@ -510,6 +510,9 @@ class TestRunTransient:
                    for u, i in zip(some.states, (0, 1, 3), strict=True))
         assert list(some.outputs) == list(every.outputs) == [0.1]
         assert np.array_equal(some.outputs[0.1], every.states[1])
+        # an output is the stored state itself, not a copy of it
+        assert some.outputs[0.1] is some.states[1]
+        assert every.outputs[0.1] is every.states[1]
 
     def test_log_lines_emitted(self, system, u_start):
         res = slv.run_transient(system, u_start,
