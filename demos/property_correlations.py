@@ -12,9 +12,8 @@ installed it also saves ``property_correlations.png``.
 import numpy as np
 
 from hotpress.properties import (
+    CALIBRATED_ISOTHERM as isotherm,
     KELVIN,
-    HailwoodHorrobinIsotherm,
-    MaterialParams,
     gas_viscosity,
     latent_heat,
     saturated_vapor_pressure,
@@ -25,9 +24,6 @@ from hotpress.properties import (
     vapor_density,
     vertical_permeability,
 )
-
-params = MaterialParams(rho_s=586.0)
-isotherm = HailwoodHorrobinIsotherm.calibrated()
 
 ################################################################################
 # saturation pressure and vapor density along the press temperature range
@@ -64,10 +60,10 @@ print(f"  steam-air diffusivity at (1 atm, 60 degC) = "
       f"{steam_air_diffusivity(101325.0, 60.0 + KELVIN):.3e} m2/s")
 
 rho_grid = np.linspace(400.0, 800.0, 81)
-perm_grid = np.array([vertical_permeability(r, params) for r in rho_grid])
+perm_grid = vertical_permeability(rho_grid)
 print("  vertical gas permeability (m2):")
 for rho in (450.0, 586.0, 750.0):
-    print(f"    K({rho:5.1f} kg/m3) = {vertical_permeability(rho, params):.3e}")
+    print(f"    K({rho:5.1f} kg/m3) = {vertical_permeability(rho):.3e}")
 
 ################################################################################
 # energy: latent/sorption heat and specific heat

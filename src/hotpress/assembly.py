@@ -240,11 +240,11 @@ def derive_thermo(t_c, h_pct, rho_a, params):
         np.where(h_pct < 0.0, 0.0, hr_h))
     s[..., P_TOTAL] = rho_a * R_GAS * t_k / MM_AIR + s[..., P_VAPOR]
     s[..., KAPPA_Z] = props.thermal_conductivity_z(t_c, h, params.rho_s)
-    s[..., KAPPA_XY] = props.thermal_conductivity_xy(s[..., KAPPA_Z],
-                                                     params.kappa_anisotropy)
+    # in-plane conductivity and permeability: the fiber-mat anisotropy
+    # ratios times the vertical ones
+    s[..., KAPPA_XY] = params.kappa_anisotropy * s[..., KAPPA_Z]
     mu = props.gas_viscosity(t_c)
-    s[..., MOB_XY] = props.horizontal_permeability(
-        params.perm_z, params.perm_anisotropy) / mu
+    s[..., MOB_XY] = params.perm_anisotropy * params.perm_z / mu
     s[..., MOB_Z] = params.perm_z / mu
     s[..., DIFFUSIVITY] = props.steam_air_diffusivity(
         np.maximum(s[..., P_TOTAL], PRESSURE_FLOOR), t_k)

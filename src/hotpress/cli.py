@@ -103,9 +103,8 @@ def _write_profiles(out, system, result):
 
 
 def _write_log(path, result):
-    """Step log without the wall-clock line (outputs are deterministic)."""
-    lines = [line.split(" wall=")[0] for line in result.log]
-    path.write_text("".join(line + "\n" for line in lines))
+    """The run's step log, one line each."""
+    path.write_text("".join(line + "\n" for line in result.log))
 
 
 # ---------------------------------------------------------------------------

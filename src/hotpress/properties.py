@@ -18,13 +18,15 @@ package:
 The fitted coefficients are hard numbers from published measurements; they
 are not tunable knobs and live next to the formulas that use them.
 
-:class:`MaterialParams` holds the constants of one board and fixes, when it
-is built, the porosity and vertical permeability that they give.
+The permeability table, its PCHIP and the calibrated isotherm are built
+once, at import.  :class:`MaterialParams` holds the constants of one board
+and fixes, when it is built, the porosity and vertical permeability that
+they give.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -76,11 +78,6 @@ def thermal_conductivity_z(t_c, h_pct, rho_s):
             f"T={t_c!r} degC, H={h_pct!r} %, rho_s={rho_s!r} kg/m3"
         )
     return kappa if np.ndim(kappa) else float(kappa)
-
-
-def thermal_conductivity_xy(kappa_z, anisotropy):
-    """In-plane conductivity from the vertical one (fiber-mat anisotropy)."""
-    return anisotropy * kappa_z
 
 
 def gas_viscosity(t_c):
@@ -171,11 +168,19 @@ def pchip_evaluate(x, coef, xi):
     return c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
 
 
-def vertical_permeability(rho_s, params):
+# The packaged table [kg/m3, m2], read once, and the PCHIP, a monotone cubic
+# interpolant (Fritsch & Carlson 1980), of log10(K) through every tabulated
+# point: a least-squares line in log space misses the flat dense tail of the
+# measurements by >20 %
+PERM_DENSITY, PERM_VALUES = load_permeability_table()
+PERM_COEF = pchip_coefficients(PERM_DENSITY, np.log10(PERM_VALUES))
+
+
+def vertical_permeability(rho_s):
     """Superficial vertical gas permeability at a given board density.
 
-    log10 K is interpolated through every row of the table by PCHIP
-    (Fritsch & Carlson 1980, SIAM J. Numer. Anal. 17), with scipy's
+    log10 K is interpolated through every row of the packaged table by
+    PCHIP (Fritsch & Carlson 1980, SIAM J. Numer. Anal. 17), with scipy's
     end-point rule.  Densities outside the tabulated range are clamped to
     the endpoints.
 
@@ -183,22 +188,16 @@ def vertical_permeability(rho_s, params):
     ----------
     rho_s : float or ndarray
         Dry board density [kg/m3].
-    params : MaterialParams
 
     Returns
     -------
     float or ndarray
         K_z [m2].
     """
-    dens = params.perm_density
-    rho = np.clip(np.asarray(rho_s, dtype=float), dens[0], dens[-1])
-    k = 10.0 ** pchip_evaluate(dens, params._perm_coef, rho)
+    rho = np.clip(np.asarray(rho_s, dtype=float),
+                  PERM_DENSITY[0], PERM_DENSITY[-1])
+    k = 10.0 ** pchip_evaluate(PERM_DENSITY, PERM_COEF, rho)
     return k if np.ndim(k) else float(k)
-
-
-def horizontal_permeability(k_z, anisotropy):
-    """In-plane permeability from the vertical one."""
-    return anisotropy * k_z
 
 
 def steam_air_diffusivity(p_total, t_k):
@@ -438,11 +437,11 @@ class HailwoodHorrobinIsotherm:
         out = hr, -emc_t / emc_hr, 1.0 / emc_hr
         return out if np.ndim(hr) else tuple(float(v) for v in out)
 
-    @classmethod
-    def calibrated(cls, t_c=30.0, hr_pct=65.0, emc_target=11.0):
-        """Scale the published surface so EMC(t_c, hr_pct) == emc_target."""
-        raw = cls(scale=1.0).emc(t_c, hr_pct)
-        return cls(scale=emc_target / raw)
+
+# the published surface scaled so that EMC(30 degC, 65 %) = 11 %: a board
+# conditioned at the calibration climate holds 11 % moisture
+CALIBRATED_ISOTHERM = HailwoodHorrobinIsotherm(
+    scale=11.0 / HailwoodHorrobinIsotherm(scale=1.0).emc(30.0, 65.0))
 
 
 # ---------------------------------------------------------------------------
@@ -451,11 +450,12 @@ class HailwoodHorrobinIsotherm:
 
 @dataclass(frozen=True)
 class MaterialParams:
-    """All constitutive constants and fitted data for one board.
+    """The constitutive constants of one board.
 
-    The gas constant, the molar mass of air and the specific heat of
-    water vapor are the same for every board: they are the module
-    constants ``R_GAS``, ``MM_AIR`` and ``CP_VAPOR``.
+    What is the same for every board is a module constant: the gas
+    constant ``R_GAS``, the molar mass of air ``MM_AIR``, the specific
+    heat of water vapor ``CP_VAPOR`` and the permeability table
+    ``PERM_DENSITY``, ``PERM_VALUES``; building a board reads no file.
 
     Parameters
     ----------
@@ -468,7 +468,7 @@ class MaterialParams:
         Fiber density, resin density [kg/m3] and resin mass ratio of the
         Suzuki porosity model.
     isotherm : HailwoodHorrobinIsotherm
-        Replaceable sorption surface.
+        Replaceable sorption surface, by default ``CALIBRATED_ISOTHERM``.
 
     Attributes
     ----------
@@ -477,8 +477,6 @@ class MaterialParams:
         resin volume at density ``rho_s``.  A board without pores is refused.
     perm_z : float
         Vertical gas permeability [m2] at density ``rho_s``.
-    perm_density, perm_values : ndarray
-        The packaged permeability table [kg/m3, m2].
     """
 
     rho_s: float
@@ -487,9 +485,7 @@ class MaterialParams:
     rho_f: float = 900.0           # kg/m3
     rho_r: float = 1100.0          # kg/m3
     y_r: float = 0.085
-    isotherm: HailwoodHorrobinIsotherm = field(
-        default_factory=HailwoodHorrobinIsotherm.calibrated
-    )
+    isotherm: HailwoodHorrobinIsotherm = CALIBRATED_ISOTHERM
 
     def __post_init__(self):
         # every message starts with the name of the offending field
@@ -509,13 +505,5 @@ class MaterialParams:
             raise DomainError(f"rho_s {self.rho_s!r} kg/m3 leaves no pore "
                               f"space (porosity {eps:.4f})")
         object.__setattr__(self, "porosity", eps)
-        dens, perm = load_permeability_table()
-        object.__setattr__(self, "perm_density", dens)
-        object.__setattr__(self, "perm_values", perm)
-        # PCHIP, a monotone cubic interpolant (Fritsch & Carlson 1980), of
-        # log10(K) through every tabulated point: a least-squares line in log
-        # space misses the flat dense tail of the measurements by >20 %
-        object.__setattr__(self, "_perm_coef",
-                           pchip_coefficients(dens, np.log10(perm)))
         # the board's vertical permeability [m2], fixed with rho_s
-        object.__setattr__(self, "perm_z", vertical_permeability(self.rho_s, self))
+        object.__setattr__(self, "perm_z", vertical_permeability(self.rho_s))

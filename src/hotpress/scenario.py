@@ -35,6 +35,8 @@ from .assembly import PressSystem, pack_state
 from .errors import HotPressError, ScenarioError
 from .mesh import build_graded_mesh
 from .properties import (
+    CALIBRATED_ISOTHERM,
+    KELVIN,
     HailwoodHorrobinIsotherm,
     MaterialParams,
     saturated_vapor_pressure,
@@ -91,7 +93,7 @@ class PressSchedule:
             raise ScenarioError("schedule breakpoints must be finite")
         if t.size > 1 and not np.all(np.diff(t) > 0.0):
             raise ScenarioError("schedule times must be strictly increasing")
-        if np.any(temp <= -273.15):
+        if np.any(temp <= -KELVIN):
             raise ScenarioError(
                 "schedule temperatures must be above absolute zero")
         object.__setattr__(self, "times", tuple(float(x) for x in t))
@@ -179,7 +181,7 @@ class Scenario:
             raise ScenarioError("solver must be a SolverConfig instance")
         for name in ("t0", "t_atm"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value > -273.15):
+            if not (np.isfinite(value) and value > -KELVIN):
                 raise ScenarioError(f"{name} must be above absolute zero")
         if not (np.isfinite(self.h0) and self.h0 >= 0.0):
             raise ScenarioError("h0 must be non-negative")
@@ -286,7 +288,7 @@ def _schedule(value, where):
 
 def _isotherm(value, where):
     if value is None:  # null keeps the calibrated surface
-        return HailwoodHorrobinIsotherm.calibrated()
+        return CALIBRATED_ISOTHERM
     return HailwoodHorrobinIsotherm(scale=_number(value, where))
 
 

@@ -466,8 +466,9 @@ def run_transient(system, u0, cfg, log=None, store_all=False):
     output time, at the final time, and with ``store_all`` at every step
     (for trajectory diagnostics; off by default to bound memory).  Each
     accepted step emits one diagnostic log line; pass ``log`` as a
-    callable to stream them.  Implicit runs record the per-step
-    lumped-water balance.
+    callable to stream them.  The log holds no wall-clock time, so a run
+    repeats it exactly; ``wall_time`` keeps the run's seconds.  Implicit
+    runs record the per-step lumped-water balance.
 
     Returns
     -------
@@ -528,6 +529,5 @@ def run_transient(system, u0, cfg, log=None, store_all=False):
             res.times.append(t)
             res.states.append(u)
     res.wall_time = time.perf_counter() - started
-    emit(f"done t={t:.6g} steps={len(res.dt_used)} "
-         f"wall={res.wall_time:.2f}s")
+    emit(f"done t={t:.6g} steps={len(res.dt_used)}")
     return res

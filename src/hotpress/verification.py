@@ -9,9 +9,9 @@ acceptance tests:
   pointwise strong-form fluxes with high-order finite differences — a
   path independent of the element assembly, so agreement is evidence,
   not tautology.
-* ``conservation`` — a sealed board must keep its total water; an open
-  board must balance storage change against the rim reactions every
-  step.
+* ``conservation`` — a sealed board must keep its total water and its
+  total air; an open board must balance storage change against the rim
+  reactions every step.
 * ``jacobian`` — directional consistency of the assembled sparse
   Jacobian at states sampled along a press trajectory.
 * ``supg`` — a steady high-Peclet advection benchmark contrasting the
@@ -31,6 +31,7 @@ from .assembly import (
     CP,
     DIFFUSIVITY,
     HEAT,
+    IDX_A,
     IDX_T,
     KAPPA_XY,
     KAPPA_Z,
@@ -54,6 +55,8 @@ from .properties import (
     CP_VAPOR,
     KELVIN,
     MM_AIR,
+    PERM_DENSITY,
+    PERM_VALUES,
     R_GAS,
     MaterialParams,
     saturated_vapor_pressure,
@@ -86,9 +89,10 @@ __all__ = [
 # partial pressure:
 _RV_PER_PV = 6e-6  # (kg/m3) per (N/m2)
 
-# gates of the conservation suite, relative to the initial total water,
-# and of the jacobian suite, and the seed of the jacobian suite's samples
+# gates of the conservation suite, relative to the initial total water or
+# air, and of the jacobian suite, and the seed of the jacobian suite's samples
 SEALED_DRIFT_TOL = 1e-6
+SEALED_AIR_DRIFT_TOL = 1e-6
 OPEN_BALANCE_TOL = 1e-8
 JACOBIAN_TOL = 1e-5
 JACOBIAN_SEED = 20260823
@@ -345,7 +349,7 @@ def _storage_terms(system, sol, r, z, t):
     return out
 
 
-def manufactured_source(system, sol, t, fd_rel=1e-4):
+def manufactured_source(system, sol, t):
     """Volumetric source (..., n_el, n_gp, 3) that makes ``sol`` exact, at
     the time or array of times ``t``.
 
@@ -357,8 +361,8 @@ def manufactured_source(system, sol, t, fd_rel=1e-4):
     """
     r, z, t = np.broadcast_arrays(system.gp_xy[..., 0], system.gp_xy[..., 1],
                                   np.asarray(t, dtype=float)[..., None, None])
-    hr = fd_rel * float(np.max(r))
-    hz = fd_rel * float(np.max(np.abs(z)) or 1.0)
+    hr = 1e-4 * float(np.max(r))
+    hz = 1e-4 * float(np.max(np.abs(z)) or 1.0)
 
     def fr(rr):
         return _pointwise_flux(system, sol, rr, z, t)[0][..., 0]
@@ -391,8 +395,14 @@ def _scaled_error_norm(system, diff):
     return float(np.sqrt(np.sum(w[:, None] * e**2) / (N_VARS * np.sum(w))))
 
 
-def mms_spatial_study(n_values=(5, 10, 20, 40), stabilization=True):
+def mms_spatial_study(n_values=(5, 10, 20, 40)):
     """Error of the steady manufactured problem under mesh refinement.
+
+    The study runs the plain Galerkin discretization: the streamline
+    stabilization keeps conservation exact by using the convective part
+    of the strong residual only, which is first-order consistent and
+    would mask the element order here.  Its own benchmark (the supg
+    suite) verifies what it is for.
 
     Returns
     -------
@@ -404,7 +414,7 @@ def mms_spatial_study(n_values=(5, 10, 20, 40), stabilization=True):
     sol = _mms_solution(transient=False)
     errors = []
     for n in n_values:
-        system = _mms_system(n, sol, stabilization)
+        system = _mms_system(n, sol, stabilization=False)
         u_exact = sol.state(system.mesh, 0.0)
         # backward Euler at dt = inf is the steady problem
         u, _, _ = newton_solve(system, u_exact, np.inf, 0.0)
@@ -450,13 +460,8 @@ def mms_suite():
     """Spatial and temporal convergence checks (manufactured solutions)."""
     checks = []
 
-    # The spatial study runs the plain Galerkin discretization: the
-    # streamline stabilization keeps conservation exact by using the
-    # convective part of the strong residual only, which is first-order
-    # consistent and would mask the element order here.  Its own
-    # benchmark (the supg suite) verifies what it is for.
     n_vals = (5, 10, 20, 40)
-    errors, orders = mms_spatial_study(n_vals, stabilization=False)
+    errors, orders = mms_spatial_study(n_vals)
     slope = float(np.polyfit(np.log2(n_vals), np.log2(errors), 1)[0])
     observed = -slope
     ok = 1.7 <= observed <= 2.3
@@ -482,7 +487,7 @@ def mms_suite():
 # ---------------------------------------------------------------------------
 
 def conservation_suite(scenario=None, open_run=None):
-    """Sealed total-water drift and open per-step balance.
+    """Sealed total-water and total-air drift and open per-step balance.
 
     Parameters
     ----------
@@ -497,13 +502,18 @@ def conservation_suite(scenario=None, open_run=None):
                         solver=replace(sc.solver, output_times=()))
     system_s, res_s = run_scenario(sealed_sc, store_all=True)
     water = np.array([system_s.lumped_water(s) for s in res_s.states])
-    drift = float(np.max(np.abs(water - water[0])) / water[0])
+    # the air the sealed board keeps: eps * sum(V_j rho_a,j)
+    air = system_s.epsilon * (np.array(res_s.states)[:, IDX_A::N_VARS]
+                              @ system_s.nodal_volume)
     n_steps = len(res_s.dt_used)
-    checks = [CheckResult(
-        "sealed water conservation", drift <= SEALED_DRIFT_TOL,
-        value=drift, threshold=SEALED_DRIFT_TOL,
-        detail=f"max relative drift {drift:.2e} over {n_steps} steps "
-               f"(tol {SEALED_DRIFT_TOL:g})")]
+    checks = []
+    for name, amount, tol in (("water", water, SEALED_DRIFT_TOL),
+                              ("air", air, SEALED_AIR_DRIFT_TOL)):
+        drift = float(np.max(np.abs(amount - amount[0])) / amount[0])
+        checks.append(CheckResult(
+            f"sealed {name} conservation", drift <= tol, value=drift,
+            threshold=tol, detail=f"max relative drift {drift:.2e} over "
+                                  f"{n_steps} steps (tol {tol:g})"))
 
     if open_run is None:
         open_run = run_scenario(replace(
@@ -527,10 +537,10 @@ def conservation_suite(scenario=None, open_run=None):
 # jacobian consistency
 # ---------------------------------------------------------------------------
 
-def press_trajectory(t_end=40.0, dt=1.0):
-    """Short segment of the press run with every accepted state stored."""
+def press_trajectory(t_end=40.0):
+    """The press run to ``t_end`` at 1 s steps, every state stored."""
     sc = humphrey_preset()
-    sc = replace(sc, solver=replace(sc.solver, t_end=t_end, dt=dt,
+    sc = replace(sc, solver=replace(sc.solver, t_end=t_end, dt=1.0,
                                     output_times=()))
     return run_scenario(sc, store_all=True)
 
@@ -616,16 +626,17 @@ def supg_benchmark(n=20, peclet=50.0):
     return solve(False), solve(True)
 
 
-def _significant_flips(profile, floor=1e-9):
+def _significant_flips(profile):
     """Count adjacent sign alternations of the nodal increments,
-    ignoring increments below ``floor`` (roundoff flats)."""
+    ignoring increments up to 1e-9 (roundoff flats)."""
     inc = np.diff(profile)
-    inc = np.where(np.abs(inc) > floor, inc, 0.0)
+    inc = np.where(np.abs(inc) > 1e-9, inc, 0.0)
     return int(np.sum(inc[:-1] * inc[1:] < 0.0))
 
 
-def supg_suite(n=20, peclet=50.0):
-    """Oscillation/overshoot contrast between Galerkin and SUPG."""
+def supg_suite():
+    """Galerkin/SUPG oscillation and overshoot contrast at element Peclet 50."""
+    n, peclet = 20, 50.0
     gal, stab = supg_benchmark(n, peclet)
     flips = _significant_flips(gal)
     ok_gal = flips >= n // 2
@@ -667,17 +678,15 @@ def properties_suite():
         value=rv, threshold=0.05,
         detail=f"{rv:.4f} kg/m3 vs 0.61 (rel dev {rel:.2%}, tol 5%)"))
 
-    params = MaterialParams(rho_s=586.0)
-    fit = vertical_permeability(params.perm_density, params)
-    rel_max = float(np.max(np.abs(fit - params.perm_values)
-                           / params.perm_values))
+    fit = vertical_permeability(PERM_DENSITY)
+    rel_max = float(np.max(np.abs(fit - PERM_VALUES) / PERM_VALUES))
     checks.append(CheckResult(
         "permeability interpolant through table", rel_max <= 1e-12,
         value=rel_max, threshold=1e-12,
         detail=f"max rel dev {rel_max:.1e} at "
-               f"{len(params.perm_density)} tabulated densities (tol 1e-12)"))
+               f"{len(PERM_DENSITY)} tabulated densities (tol 1e-12)"))
 
-    cp = specific_heat(273.15, 0.0)
+    cp = specific_heat(KELVIN, 0.0)
     dev = abs(cp - 1120.2)
     checks.append(CheckResult(
         "dry specific heat at 0 degC", dev <= 0.1,

@@ -151,7 +151,7 @@ class TestDerivedState:
         p_v = hr / 100.0 * p_sat
         p_tot = a * props.R_GAS * (t + props.KELVIN) / props.MM_AIR + p_v
         kappa_z = props.thermal_conductivity_z(t, h0, params.rho_s)
-        k_z = props.vertical_permeability(params.rho_s, params)
+        k_z = props.vertical_permeability(params.rho_s)
         mu = props.gas_viscosity(t)
         expect = {
             asm.P_TOTAL: p_tot, asm.TEMP: t, asm.RHO_A: a,
@@ -162,11 +162,9 @@ class TestDerivedState:
             + props.vapor_density(p_sat, hr_t),
             asm.RV_H: props.vapor_density(p_sat, np.where(h < 0.0, 0.0, hr_h)),
             asm.KAPPA_Z: kappa_z,
-            asm.KAPPA_XY: props.thermal_conductivity_xy(
-                kappa_z, params.kappa_anisotropy),
+            asm.KAPPA_XY: params.kappa_anisotropy * kappa_z,
             asm.MOB_Z: k_z / mu,
-            asm.MOB_XY: props.horizontal_permeability(
-                k_z, params.perm_anisotropy) / mu,
+            asm.MOB_XY: params.perm_anisotropy * k_z / mu,
             asm.DIFFUSIVITY: props.steam_air_diffusivity(
                 np.maximum(p_tot, asm.PRESSURE_FLOOR), t + props.KELVIN),
             asm.CP: props.specific_heat(t + props.KELVIN, h0 / 100.0),

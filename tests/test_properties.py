@@ -14,7 +14,9 @@ from scipy.interpolate import PchipInterpolator
 import hotpress
 
 from hotpress import properties as pr
+from hotpress.assembly import KAPPA_XY, KAPPA_Z, MOB_XY, MOB_Z, derive_thermo
 from hotpress.errors import ConvergenceError, DomainError
+from hotpress.scenario import humphrey_preset, load_scenario, save_scenario
 
 
 @pytest.fixture(scope="module")
@@ -46,9 +48,8 @@ class TestThermalConductivity:
         assert 1.0 < k160 / k20 < 1.2
 
     def test_in_plane_ratio(self, params):
-        ratio = params.kappa_anisotropy
-        assert pr.thermal_conductivity_xy(0.1, ratio) == pytest.approx(0.15)
-        assert pr.thermal_conductivity_xy(0.0, ratio) == 0.0
+        s = derive_thermo(np.array([20.0, 160.0]), 12.0, 0.5, params)
+        assert np.array_equal(s[:, KAPPA_XY], 1.5 * s[:, KAPPA_Z])
 
 
 class TestGasViscosity:
@@ -66,25 +67,25 @@ class TestGasViscosity:
 
 
 class TestPermeability:
-    def test_table_points_reproduced(self, params):
-        fit = pr.vertical_permeability(params.perm_density, params)
-        rel = np.abs(fit / params.perm_values - 1.0)
+    def test_table_points_reproduced(self):
+        fit = pr.vertical_permeability(pr.PERM_DENSITY)
+        rel = np.abs(fit / pr.PERM_VALUES - 1.0)
         assert np.max(rel) < 1e-12, f"worst table mismatch {np.max(rel):.1e}"
 
-    def test_clamped_outside_range(self, params):
-        low = pr.vertical_permeability(300.0, params)
-        high = pr.vertical_permeability(1000.0, params)
+    def test_clamped_outside_range(self):
+        low = pr.vertical_permeability(300.0)
+        high = pr.vertical_permeability(1000.0)
         assert low == pytest.approx(64e-15, rel=1e-9)
         assert high == pytest.approx(2e-15, rel=1e-9)
 
-    def test_monotone_non_increasing(self, params):
+    def test_monotone_non_increasing(self):
         rho = np.linspace(400.0, 900.0, 501)
-        k = pr.vertical_permeability(rho, params)
+        k = pr.vertical_permeability(rho)
         assert np.all(np.diff(k) <= 1e-25)
 
     def test_horizontal_ratio(self, params):
-        assert pr.horizontal_permeability(1e-15, params.perm_anisotropy) \
-            == pytest.approx(5.9e-14)
+        s = derive_thermo(np.array([20.0, 160.0]), 12.0, 0.5, params)
+        assert s[:, MOB_XY] / s[:, MOB_Z] == pytest.approx(59.0, rel=1e-14)
 
     def test_table_validation_rejects_rising_permeability(self, tmp_path):
         bad = tmp_path / "perm.txt"
@@ -123,14 +124,27 @@ class TestPchipMatchesScipy:
         assert np.array_equal(pr.pchip_evaluate(dens, coef, rho), oracle(rho))
 
     def test_board_permeability_bit_identical(self):
-        params = pr.MaterialParams(rho_s=586.0)
-        dens = params.perm_density
-        oracle = PchipInterpolator(dens, np.log10(params.perm_values),
+        dens = pr.PERM_DENSITY
+        oracle = PchipInterpolator(dens, np.log10(pr.PERM_VALUES),
                                    extrapolate=False)
         rho = np.concatenate([dens, np.linspace(dens[0], dens[-1], 100_001)])
-        assert np.array_equal(pr.vertical_permeability(rho, params),
+        assert np.array_equal(pr.vertical_permeability(rho),
                               10.0 ** oracle(rho))
-        assert params.perm_z == 10.0 ** oracle(586.0)
+        assert pr.MaterialParams(rho_s=586.0).perm_z == 10.0 ** oracle(586.0)
+
+
+def test_building_a_board_reads_no_file(monkeypatch):
+    # the packaged table is read once, when the module is imported
+    def refuse(*args, **kwargs):
+        raise AssertionError("a file was read")
+
+    monkeypatch.setattr(pr, "load_permeability_table", refuse)
+    monkeypatch.setattr(np, "loadtxt", refuse)
+    board = pr.MaterialParams(rho_s=600.0)
+    assert board.isotherm is pr.CALIBRATED_ISOTHERM
+    assert board.perm_z == pr.vertical_permeability(600.0)
+    sc = humphrey_preset()
+    assert load_scenario(save_scenario(sc)) == sc
 
 
 def test_import_loads_no_interpolation_scipy():
@@ -358,8 +372,7 @@ class TestMonotoneCorrelations:
     def test_conductivities_rise_with_t_and_h(self, t_pair, h_pair, rho_s):
         (t1, t2), (h1, h2) = _ordered(t_pair, 1e-3), _ordered(h_pair, 1e-3)
         for kappa in (lambda t, h: pr.thermal_conductivity_z(t, h, rho_s),
-                      lambda t, h: pr.thermal_conductivity_xy(
-                          pr.thermal_conductivity_z(t, h, rho_s), 1.5)):
+                      lambda t, h: 1.5 * pr.thermal_conductivity_z(t, h, rho_s)):
             assert 0.0 < kappa(t1, h1) < kappa(t2, h1)
             assert kappa(t1, h1) < kappa(t1, h2)
 

@@ -526,6 +526,7 @@ class TestRunTransient:
         r1 = slv.run_transient(system, u_start, cfg, store_all=True)
         r2 = slv.run_transient(system, u_start, cfg, store_all=True)
         assert all(np.array_equal(a, b) for a, b in zip(r1.states, r2.states))
+        assert r1.log == r2.log
 
     def test_water_balance_recorded(self, system, u_start):
         res = slv.run_transient(system, u_start,

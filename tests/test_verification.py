@@ -171,8 +171,7 @@ class TestSteadyLimit:
 
 class TestMmsConvergence:
     def test_spatial_orders_second(self):
-        errors, orders = vf.mms_spatial_study((5, 10, 20),
-                                              stabilization=False)
+        errors, orders = vf.mms_spatial_study((5, 10, 20))
         assert errors[0] > errors[-1], "error should decrease with h"
         assert 1.7 < orders[-1] < 2.3, \
             f"spatial order off: {orders}"
@@ -251,13 +250,17 @@ class TestTargetTable:
 class TestConservationSuite:
     def test_small_case_passes(self, small_scenario):
         checks = vf.conservation_suite(scenario=small_scenario)
-        assert len(checks) == 2
+        assert [c.name for c in checks] == [
+            "sealed water conservation", "sealed air conservation",
+            "open water balance"]
         for c in checks:
             assert c.passed, c.line()
 
     def test_values_populated(self, small_scenario):
-        sealed, open_ = vf.conservation_suite(scenario=small_scenario)
+        sealed, air, open_ = vf.conservation_suite(scenario=small_scenario)
         assert np.isfinite(sealed.value) and sealed.value < sealed.threshold
+        assert np.isfinite(air.value) and air.value < 1e-12
+        assert air.threshold == vf.SEALED_AIR_DRIFT_TOL == 1e-6
         assert np.isfinite(open_.value) and open_.value < open_.threshold
 
 
