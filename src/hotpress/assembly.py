@@ -342,10 +342,9 @@ class PressSystem:
         self.p_v_atm = (self.hr_atm / 100.0) * props.saturated_vapor_pressure(self.t_atm)
         self.p_a_atm = self.p_atm - self.p_v_atm
 
-        rule = hmesh.QuadratureRule.gauss(2)
         coords = mesh.nodes[mesh.elements]
-        self.shape, grad, detj, self.gp_xy = hmesh.element_geometry(coords, rule)
-        wdetr = rule.weights[None, :] * detj * self.gp_xy[..., 0]  # (n_el, n_gp)
+        self.shape, grad, detj, self.gp_xy = hmesh.element_geometry(coords)
+        wdetr = hmesh.GAUSS_WEIGHTS * detj * self.gp_xy[..., 0]  # (n_el, n_gp)
         # element operators for batched matmuls: ``shape`` and ``grad_gauss``
         # (rows g*2 + d) take corner fields (n_el, 4, k) to the quadrature
         # points, ``n_test`` (w N_a) and ``grad_test`` (w dN_a/dx_d) back;
@@ -363,7 +362,7 @@ class PressSystem:
         # lumped r-weighted volume of each node
         self.nodal_volume = self._assemble(self.omega[..., None])[:, 0]
         # fallback streamline length where the velocity vanishes
-        self.h_fallback = np.sqrt(np.sum(rule.weights[None, :] * detj, axis=1))
+        self.h_fallback = np.sqrt(np.sum(hmesh.GAUSS_WEIGHTS * detj, axis=1))
 
         # per-equation row scaling -> all rows in "rate" units of comparable size
         rho_s = params.rho_s
@@ -371,9 +370,7 @@ class PressSystem:
                                    1.0 / self.epsilon])
 
         # constrained dofs
-        platen_nodes = mesh.node_tags[hmesh.PLATEN]
-        self.platen_nodes = platen_nodes
-        self.platen_tdofs = N_VARS * platen_nodes + IDX_T
+        self.platen_tdofs = N_VARS * mesh.node_tags[hmesh.PLATEN] + IDX_T
         rim_nodes = mesh.node_tags[hmesh.EXTERNAL]
         self.rim_nodes = rim_nodes
         self.rim_hdofs = N_VARS * rim_nodes + IDX_H
@@ -626,7 +623,6 @@ class PressSystem:
             rim = self.rim_nodes
             h_slope = self.constraint_slopes(u, t)[self.rim_hdofs]
             d_t[rim] = -r_t[rim] / (m_tt[rim] + c_th[rim] * h_slope)
-            d_h[rim] = h_slope * d_t[rim]
 
         rates = pack_state(d_t, d_h, d_a)
         rates[self.constrained_dofs()] = 0.0

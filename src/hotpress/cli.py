@@ -117,18 +117,9 @@ def cmd_run(args):
         print(f"error: output directory {out} does not exist",
               file=sys.stderr)
         return 2
-    if (args.preset is None) == (args.scenario is None):
-        print("error: give exactly one of --preset or --scenario",
-              file=sys.stderr)
-        return 2
     try:
         if args.preset is not None:
-            maker = PRESETS.get(args.preset)
-            if maker is None:
-                print(f"error: unknown preset {args.preset!r}; available: "
-                      + ", ".join(sorted(PRESETS)), file=sys.stderr)
-                return 2
-            scenario = maker()
+            scenario = PRESETS[args.preset]()
         else:
             path = Path(args.scenario)
             try:
@@ -172,10 +163,6 @@ def cmd_run(args):
 
 
 def cmd_verify(args):
-    if args.suite not in SUITE_NAMES:
-        print(f"error: unknown suite {args.suite!r}; valid suites: "
-              + ", ".join(SUITE_NAMES), file=sys.stderr)
-        return 2
     try:
         checks = run_suite(args.suite)
     except HotPressError as exc:
@@ -202,9 +189,10 @@ def build_parser():
 
     run_p = sub.add_parser("run", help="integrate a scenario and write "
                                        "snapshots, profiles and a log")
-    run_p.add_argument("--preset", help="built-in scenario name "
-                                        f"({', '.join(sorted(PRESETS))})")
-    run_p.add_argument("--scenario", help="path to a scenario YAML file")
+    case = run_p.add_mutually_exclusive_group(required=True)
+    case.add_argument("--preset", choices=sorted(PRESETS),
+                      help="built-in scenario name")
+    case.add_argument("--scenario", help="path to a scenario YAML file")
     run_p.add_argument("--out", required=True,
                        help="existing output directory")
     run_p.add_argument("--dt", type=float, help="override time step [s]")
@@ -215,7 +203,8 @@ def build_parser():
     run_p.set_defaults(func=cmd_run)
 
     ver_p = sub.add_parser("verify", help="run one verification suite")
-    ver_p.add_argument("suite", help="one of: " + ", ".join(SUITE_NAMES))
+    ver_p.add_argument("suite", choices=SUITE_NAMES,
+                       help="verification suite to run")
     ver_p.set_defaults(func=cmd_verify)
     return parser
 

@@ -27,14 +27,13 @@ class ScenarioError(HotPressError, ValueError):
 class NewtonError(ConvergenceError):
     """Newton iteration failed; carries the residual history."""
 
-    def __init__(self, message, residual_history=None, last_state=None):
+    def __init__(self, message, residual_history=None):
         super().__init__(message)
         self.residual_history = list(residual_history or [])
-        self.last_state = last_state
 
 
 class LinearSolveError(HotPressError):
-    """Sparse solve failed or did not reach the required residual."""
+    """Sparse solve failed."""
 
 
 class StepError(HotPressError):

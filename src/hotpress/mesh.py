@@ -9,6 +9,9 @@ where the steep fronts live.
 Nodes are numbered row-major over z-rows (index iz * (n_r + 1) + ir);
 element corner connectivity is counter-clockwise starting at the low-r,
 low-z corner.
+
+Every element is a bilinear quadrilateral integrated by the one 2x2
+Gauss-Legendre rule ``GAUSS_POINTS``, ``GAUSS_WEIGHTS``.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ class Mesh:
     ----------
     nodes : (n_nodes, 2) float array
         (r, z) coordinates.
-    elements : (n_elems, 4) int array
+    elements : (n_el, 4) int array
         CCW corner node indices.
     node_tags : dict tag -> int array
         Node indices on each boundary (corner nodes appear under both tags).
@@ -67,10 +70,6 @@ class Mesh:
     @property
     def n_nodes(self):
         return self.nodes.shape[0]
-
-    @property
-    def n_elems(self):
-        return self.elements.shape[0]
 
     def node_index(self, ir, iz):
         return iz * (self.n_r + 1) + ir
@@ -182,30 +181,20 @@ def shape_eval(xi, eta):
     return n, np.stack([dn_dxi, dn_deta], axis=-1)
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Tensor-product Gauss rule on the reference square."""
-
-    points: np.ndarray   # (n_gp, 2)
-    weights: np.ndarray  # (n_gp,)
-
-    @classmethod
-    def gauss(cls, order=2):
-        """order x order Gauss-Legendre rule (2 default, 3 for checks)."""
-        x, w = np.polynomial.legendre.leggauss(order)
-        pts = np.array([[xi, eta] for eta in x for xi in x])
-        wts = np.array([wi * wj for wj in w for wi in w])
-        return cls(points=pts, weights=wts)
+# the tensor-product 2x2 Gauss-Legendre rule on the reference square:
+# points (4, 2), xi varying fastest, and weights (4,)
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(2)
+GAUSS_POINTS = np.array([[xi, eta] for eta in _GL_X for xi in _GL_X])
+GAUSS_WEIGHTS = np.array([wi * wj for wj in _GL_W for wi in _GL_W])
 
 
-def element_geometry(coords, rule):
-    """Isoparametric geometry of a batch of elements at quadrature points.
+def element_geometry(coords):
+    """Isoparametric geometry of a batch of elements at the Gauss points.
 
     Parameters
     ----------
     coords : (n_el, 4, 2) array
         Corner coordinates of each element.
-    rule : QuadratureRule
 
     Returns
     -------
@@ -214,10 +203,7 @@ def element_geometry(coords, rule):
     detj : (n_el, n_gp) Jacobian determinants (must be positive)
     gp_xy : (n_el, n_gp, 2) physical quadrature point coordinates
     """
-    coords = np.asarray(coords, dtype=float)
-    if coords.ndim == 2:
-        coords = coords[None]
-    n, dn = shape_eval(rule.points[:, 0], rule.points[:, 1])  # (g,4), (g,4,2)
+    n, dn = shape_eval(GAUSS_POINTS[:, 0], GAUSS_POINTS[:, 1])  # (g,4), (g,4,2)
     # jacobian J[e,g,i,j] = d x_i / d xi_j
     jac = np.einsum("eai,gaj->egij", coords, dn)
     detj = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]

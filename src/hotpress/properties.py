@@ -18,16 +18,16 @@ package:
 The fitted coefficients are hard numbers from published measurements; they
 are not tunable knobs and live next to the formulas that use them.
 
-The permeability table, its PCHIP and the calibrated isotherm are built
-once, at import.  :class:`MaterialParams` holds the constants of one board
-and fixes, when it is built, the porosity and vertical permeability that
-they give.
+The density/permeability measurements are held the same way, as a
+literal array next to their PCHIP.  The PCHIP and the calibrated isotherm
+are built once, at import, which reads no file.  :class:`MaterialParams` holds the constants
+of one board and fixes, when it is built, the porosity and vertical
+permeability that they give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
@@ -98,33 +98,6 @@ def gas_viscosity(t_c):
     return mu if np.ndim(mu) else float(mu)
 
 
-def load_permeability_table(path=None):
-    """Read a density/permeability table, by default the packaged one.
-
-    The file has two columns: density [kg/m3] and permeability in units of
-    1e-15 m2.  Returns ``(density, permeability_m2)`` arrays with the scale
-    factor applied.
-    """
-    if path is None:
-        ref = resources.files("hotpress").joinpath("data/permeability_table.txt")
-        with resources.as_file(ref) as p:
-            raw = np.loadtxt(p)
-    else:
-        raw = np.loadtxt(path)
-    if raw.ndim != 2 or raw.shape[1] != 2:
-        raise DomainError("permeability table must have two columns")
-    dens, perm = raw[:, 0], raw[:, 1] * 1e-15
-    if np.any(np.diff(dens) <= 0):
-        raise DomainError("permeability table densities must strictly increase")
-    if np.any(perm <= 0):
-        raise DomainError("permeability table values must be positive")
-    if np.any(np.diff(perm) > 0):
-        # denser boards never conduct gas better; equal neighbouring values
-        # do occur at the dense end of the measured range
-        raise DomainError("permeability may not increase with density")
-    return dens, perm
-
-
 def _pchip_end_slope(h0, h1, m0, m1):
     """Three-point end slope of PCHIP, limited to keep the end monotone."""
     d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
@@ -168,18 +141,33 @@ def pchip_evaluate(x, coef, xi):
     return c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
 
 
-# The packaged table [kg/m3, m2], read once, and the PCHIP, a monotone cubic
-# interpolant (Fritsch & Carlson 1980), of log10(K) through every tabulated
-# point: a least-squares line in log space misses the flat dense tail of the
+# Vertical (through-thickness) superficial gas permeability of dry
+# fiberboard as a function of board density.  Columns: density [kg/m3],
+# permeability [1e-15 m2].  Denser boards never conduct gas better; equal
+# neighbouring values occur at the dense end of the measured range.
+_PERM_TABLE = np.array([[425.0, 64.0],
+                        [475.0, 40.0],
+                        [525.0, 24.0],
+                        [575.0, 16.0],
+                        [625.0, 11.0],
+                        [675.0, 7.0],
+                        [725.0, 5.0],
+                        [775.0, 3.0],
+                        [825.0, 2.0],
+                        [875.0, 2.0]])
+
+# The table [kg/m3, m2] and the PCHIP, a monotone cubic interpolant
+# (Fritsch & Carlson 1980), of log10(K) through every tabulated point: a
+# least-squares line in log space misses the flat dense tail of the
 # measurements by >20 %
-PERM_DENSITY, PERM_VALUES = load_permeability_table()
+PERM_DENSITY, PERM_VALUES = _PERM_TABLE[:, 0], _PERM_TABLE[:, 1] * 1e-15
 PERM_COEF = pchip_coefficients(PERM_DENSITY, np.log10(PERM_VALUES))
 
 
 def vertical_permeability(rho_s):
     """Superficial vertical gas permeability at a given board density.
 
-    log10 K is interpolated through every row of the packaged table by
+    log10 K is interpolated through every row of ``_PERM_TABLE`` by
     PCHIP (Fritsch & Carlson 1980, SIAM J. Numer. Anal. 17), with scipy's
     end-point rule.  Densities outside the tabulated range are clamped to
     the endpoints.
@@ -455,7 +443,7 @@ class MaterialParams:
     What is the same for every board is a module constant: the gas
     constant ``R_GAS``, the molar mass of air ``MM_AIR``, the specific
     heat of water vapor ``CP_VAPOR`` and the permeability table
-    ``PERM_DENSITY``, ``PERM_VALUES``; building a board reads no file.
+    ``PERM_DENSITY``, ``PERM_VALUES``; importing reads no file.
 
     Parameters
     ----------

@@ -362,9 +362,7 @@ def newton_solve(system, u_prev, dt, t_new, lagged=None):
         if g_new is None:
             raise NewtonError(
                 f"iterate left the physical domain at t={t_new:.6g} "
-                f"(dt={dt:.3g})",
-                residual_history=history, last_state=v,
-            )
+                f"(dt={dt:.3g})", residual_history=history)
         if r_new > REUSE_CONTRACTION * history[-1]:
             lagged.factor = None
         v, g = v_new, g_new
@@ -373,10 +371,7 @@ def newton_solve(system, u_prev, dt, t_new, lagged=None):
             return v, it, r_new
     raise NewtonError(
         f"no convergence in {SolverConfig.newton_max_iter} iterations at "
-        f"t={t_new:.6g} (dt={dt:.3g})",
-        residual_history=history,
-        last_state=v,
-    )
+        f"t={t_new:.6g} (dt={dt:.3g})", residual_history=history)
 
 
 def implicit_step(system, u, t, dt, lagged=None):
@@ -412,14 +407,10 @@ def implicit_step(system, u, t, dt, lagged=None):
     )
 
 
-def euler_update(u, rate, dt):
-    """The forward-Euler update rule itself: u + dt * du/dt."""
-    return u + dt * rate
-
-
 def forward_euler_step(system, u, t, dt):
     """Explicit step on the lumped rates, then re-assign constrained values."""
-    u_new = euler_update(u, system.ode_rates(u, t), dt)
+    rates = system.ode_rates(u, t)
+    u_new = u + dt * rates
     system.apply_dirichlet(u_new, t + dt)
     validate_state(u_new, a_tol=AIR_UNDERSHOOT_TOL)
     return u_new

@@ -407,7 +407,7 @@ class TestResidual:
         expect = th[asm.HEAT] * (
             system.epsilon * th[asm.RV_H] - params.rho_s / 100.0) * dh_dt * omega
         energy = r_full[asm.IDX_T::3] / scale[asm.IDX_T]
-        free = np.setdiff1d(np.arange(n), system.platen_nodes)
+        free = np.setdiff1d(np.arange(n), small_mesh.node_tags[hm.PLATEN])
         err = np.abs(energy[free] - expect[free]).max()
         ref = np.abs(expect[free]).max()
         assert ref > 0.0

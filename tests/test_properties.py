@@ -87,35 +87,30 @@ class TestPermeability:
         s = derive_thermo(np.array([20.0, 160.0]), 12.0, 0.5, params)
         assert s[:, MOB_XY] / s[:, MOB_Z] == pytest.approx(59.0, rel=1e-14)
 
-    def test_table_validation_rejects_rising_permeability(self, tmp_path):
-        bad = tmp_path / "perm.txt"
-        bad.write_text("425 64\n475 70\n")
-        with pytest.raises(DomainError):
-            pr.load_permeability_table(bad)
-
-    def test_table_validation_rejects_unsorted_density(self, tmp_path):
-        bad = tmp_path / "perm.txt"
-        bad.write_text("475 40\n425 64\n")
-        with pytest.raises(DomainError):
-            pr.load_permeability_table(bad)
+    def test_table_is_a_monotone_relation(self):
+        # densities strictly increase; denser boards never conduct gas
+        # better, and equal neighbours occur at the dense end
+        assert np.all(np.diff(pr.PERM_DENSITY) > 0.0)
+        assert np.all(pr.PERM_VALUES > 0.0)
+        assert np.all(np.diff(pr.PERM_VALUES) <= 0.0)
 
 
 class TestPchipMatchesScipy:
     """The numpy PCHIP reproduces scipy's ``PchipInterpolator`` bit for bit."""
 
     @pytest.mark.parametrize("table", [
-        None,                                   # the packaged table
-        "425 64\n875 2\n",                      # two rows: a line
-        "425 64\n500 30\n875 2\n",              # three rows
-        # flat runs at the low end and inside, like the packaged 825/875
-        "425 40\n475 40\n525 24\n575 24\n600 11\n675 7\n",
+        None,                                   # the model's table
+        [[425, 64], [875, 2]],                  # two rows: a line
+        [[425, 64], [500, 30], [875, 2]],       # three rows
+        # flat runs at the low end and inside, like the table's 825/875
+        [[425, 40], [475, 40], [525, 24], [575, 24], [600, 11], [675, 7]],
     ], ids=["packaged", "two-rows", "three-rows", "flat-runs"])
-    def test_bit_identical(self, table, tmp_path):
-        path = None
-        if table is not None:
-            path = tmp_path / "perm.txt"
-            path.write_text(table)
-        dens, perm = pr.load_permeability_table(path)
+    def test_bit_identical(self, table):
+        if table is None:
+            dens, perm = pr.PERM_DENSITY, pr.PERM_VALUES
+        else:
+            table = np.array(table, dtype=float)
+            dens, perm = table[:, 0], table[:, 1] * 1e-15
         log_k = np.log10(perm)
         oracle = PchipInterpolator(dens, log_k, extrapolate=False)
         rho = np.concatenate([dens, np.linspace(dens[0], dens[-1], 100_001)])
@@ -134,11 +129,9 @@ class TestPchipMatchesScipy:
 
 
 def test_building_a_board_reads_no_file(monkeypatch):
-    # the packaged table is read once, when the module is imported
     def refuse(*args, **kwargs):
         raise AssertionError("a file was read")
 
-    monkeypatch.setattr(pr, "load_permeability_table", refuse)
     monkeypatch.setattr(np, "loadtxt", refuse)
     board = pr.MaterialParams(rho_s=600.0)
     assert board.isotherm is pr.CALIBRATED_ISOTHERM
@@ -147,20 +140,45 @@ def test_building_a_board_reads_no_file(monkeypatch):
     assert load_scenario(save_scenario(sc)) == sc
 
 
-def test_import_loads_no_interpolation_scipy():
-    # scipy serves only the sparse matrices and SuperLU; scipy.interpolate
-    # alone would pull in some 200 more modules at every start-up
+def fresh_python(code):
+    """The stdout of ``code`` run by a new interpreter that imports this
+    source tree."""
     env = dict(os.environ)
     src = str(Path(hotpress.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import hotpress.cli, sys; print(' '.join(m for m in "
-            "('scipy.interpolate', 'scipy.optimize', 'scipy.special') "
-            "if m in sys.modules))")
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
-    assert done.stdout.split() == []
+    return done.stdout
+
+
+def test_import_loads_no_interpolation_scipy():
+    # scipy serves only the sparse matrices and SuperLU; scipy.interpolate
+    # alone would pull in some 200 more modules at every start-up
+    out = fresh_python(
+        "import hotpress.cli, sys; print(' '.join(m for m in "
+        "('scipy.interpolate', 'scipy.optimize', 'scipy.special') "
+        "if m in sys.modules))")
+    assert out.split() == []
+
+
+def test_import_opens_no_package_data():
+    # the fitted numbers and the permeability table are code: importing
+    # opens no file of the package but its modules
+    out = fresh_python(
+        "import os, sys\n"
+        "opened = []\n"
+        "sys.addaudithook(lambda event, args: opened.append(args[0]) if "
+        "event == 'open' and isinstance(args[0], (str, os.PathLike)) "
+        "else None)\n"
+        "import hotpress.cli\n"
+        "pkg = os.path.dirname(os.path.realpath(hotpress.__file__))\n"
+        "for path in map(os.path.realpath, opened):\n"
+        "    if path.startswith(pkg + os.sep) and "
+        "not path.endswith(('.py', '.pyc')):\n"
+        "        print(path)\n")
+    assert out.split() == []
 
 
 class TestDiffusivity:

@@ -67,17 +67,6 @@ def u_smooth(system, u_start):
     return u, t
 
 
-class TestEulerUpdate:
-    def test_scalar_decay_oracle(self):
-        # du/dt = -u at u=1 with dt=0.1 steps to 0.9
-        assert slv.euler_update(1.0, -1.0, 0.1) == pytest.approx(0.9, rel=1e-15)
-
-    def test_vector_form(self):
-        u = np.array([1.0, 2.0])
-        out = slv.euler_update(u, np.array([-1.0, 1.0]), 0.5)
-        assert np.allclose(out, [0.5, 2.5])
-
-
 class TestEquilibriumFixedPoint:
     def make_equilibrium(self, system):
         n = system.mesh.n_nodes

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hotpress.assembly import IDX_A, N_VARS
 from hotpress.scenario import SolverConfig, humphrey_preset
 from hotpress.solver import newton_solve, rms
 from hotpress import verification as vf
@@ -262,6 +263,30 @@ class TestConservationSuite:
         assert np.isfinite(air.value) and air.value < 1e-12
         assert air.threshold == vf.SEALED_AIR_DRIFT_TOL == 1e-6
         assert np.isfinite(open_.value) and open_.value < open_.threshold
+
+    @pytest.fixture(scope="class")
+    def airless(self):
+        return replace(humphrey_preset(), n_r=6, n_z=6, rho_a0=0.0,
+                       solver=SolverConfig(dt=1.0, t_end=5.0))
+
+    def test_board_without_air_keeps_none(self, airless):
+        air = vf.conservation_suite(scenario=airless)[1]
+        assert air.passed and air.value == 0.0, air.line()
+
+    def test_air_appearing_in_airless_board_fails(self, airless,
+                                                  monkeypatch):
+        real = vf.run_scenario
+
+        def leaky(scenario, **kwargs):
+            system, result = real(scenario, **kwargs)
+            if scenario.sealed_radius:
+                result.states[-1] = result.states[-1].copy()
+                result.states[-1][IDX_A::N_VARS] += 1e-30
+            return system, result
+
+        monkeypatch.setattr(vf, "run_scenario", leaky)
+        air = vf.conservation_suite(scenario=airless)[1]
+        assert not air.passed and air.value == np.inf, air.line()
 
 
 class TestJacobianSuite:
