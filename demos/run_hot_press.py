@@ -16,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from hotpress.assembly import P_TOTAL, state_fields
+from hotpress.mesh import CENTERLINE
 from hotpress.scenario import SolverConfig, humphrey_preset, run_scenario
 
 ################################################################################
@@ -38,8 +39,7 @@ system, result = run_scenario(scenario, log=print, store_all=True)
 # the story at the panel core (axis, mid-plane) and under the platen
 
 mesh = system.mesh
-core = mesh.node_index(0, 0)
-under_platen = mesh.node_index(0, mesh.n_z - 1)
+core, under_platen = mesh.grid[0, 0], mesh.grid[-2, 0]
 
 print("\n  time    T_core   T_sub-platen   H_core   P_core")
 print("   [s]    [degC]      [degC]         [%]    [N/m2]")
@@ -67,7 +67,7 @@ try:
 except ImportError:
     print("matplotlib not installed; skipping the figure")
 else:
-    axis_nodes = mesh.structured_line(ir=0)
+    axis_nodes = mesh.node_tags[CENTERLINE]
     z = mesh.nodes[axis_nodes, 1] * 1e3  # mm
     fig, (ax_t, ax_h) = plt.subplots(1, 2, figsize=(9, 4))
     for t in [0.0] + sorted(result.outputs):

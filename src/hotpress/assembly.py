@@ -376,6 +376,9 @@ class PressSystem:
         self.rim_hdofs = N_VARS * rim_nodes + IDX_H
         self.rim_adofs = N_VARS * rim_nodes + IDX_A
         self.rim_tdofs = N_VARS * rim_nodes + IDX_T
+        # the Dirichlet rows, in the order of ``constraint_targets``
+        self.constrained_dofs = self.platen_tdofs if sealed_radius else \
+            np.concatenate([self.platen_tdofs, self.rim_hdofs, self.rim_adofs])
 
         # element dof map for gather/scatter
         self.elem_dofs = (
@@ -422,12 +425,6 @@ class PressSystem:
         return self.p_a_atm * MM_AIR / (
             R_GAS * (np.asarray(t_node, dtype=float) + KELVIN))
 
-    def constrained_dofs(self):
-        """Indices of all Dirichlet rows."""
-        if self.sealed_radius:
-            return self.platen_tdofs
-        return np.concatenate([self.platen_tdofs, self.rim_hdofs, self.rim_adofs])
-
     def constraint_targets(self, u, t):
         """Values the Dirichlet rows hold at time t, in the order of
         ``constrained_dofs``.  A target may depend on the temperature of
@@ -443,7 +440,7 @@ class PressSystem:
         temperature of the constrained dof's own node, shape (n_dofs,) and
         zero on free rows: one centered difference, every node's
         temperature stepped at once by ``fd_step``."""
-        dofs = self.constrained_dofs()
+        dofs = self.constrained_dofs
         step = np.zeros_like(u)
         step[IDX_T::N_VARS] = fd_step(u)[IDX_T::N_VARS]
         slopes = np.zeros(self.n_dofs)
@@ -459,7 +456,7 @@ class PressSystem:
         Assigned twice: a rim target follows its node's temperature, which
         the first pass sets where the rim meets the platen.
         """
-        dofs = self.constrained_dofs()
+        dofs = self.constrained_dofs
         for _ in range(2):
             u[dofs] = self.constraint_targets(u, t)
         return u
@@ -592,7 +589,7 @@ class PressSystem:
         corners = self.nodal_state(u)[self.mesh.elements]
         r = self._assemble(self.element_residual(due, t, corners)).ravel()
         if constrained:
-            dofs = self.constrained_dofs()
+            dofs = self.constrained_dofs
             r[dofs] = u[dofs] - self.constraint_targets(u, t)
         return r
 
@@ -625,7 +622,7 @@ class PressSystem:
             d_t[rim] = -r_t[rim] / (m_tt[rim] + c_th[rim] * h_slope)
 
         rates = pack_state(d_t, d_h, d_a)
-        rates[self.constrained_dofs()] = 0.0
+        rates[self.constrained_dofs] = 0.0
         return rates
 
     # -- diagnostics ---------------------------------------------------------
@@ -658,7 +655,7 @@ class PressSystem:
         rate = (u_new - u_old) / dt
         raw = self.residual(u_new, rate, t_new, constrained=False)
         # reaction of a constrained row = boundary flux the constraint supplies
-        rim_influx = float(np.sum(raw[self.rim_hdofs])) / self.row_scale[IDX_H]
+        rim_influx = float(np.sum(raw[self.rim_hdofs]) / self.row_scale[IDX_H])
         h_old = u_old[IDX_H::N_VARS]
         h_new = u_new[IDX_H::N_VARS]
         storage_rate = float(

@@ -30,10 +30,16 @@ import numpy as np
 
 from .assembly import P_TOTAL, P_VAPOR, state_fields
 from .errors import HotPressError, ScenarioError
+from .mesh import CENTERLINE, EXTERNAL, MIDPLANE, PLATEN
 from .scenario import humphrey_preset, load_scenario, run_scenario
 from .verification import SUITE_NAMES, run_suite
 
 PRESETS = {"humphrey": humphrey_preset}
+
+# the four profile lines: (label, the coordinate along the line, its tag)
+_PROFILE_LINES = (("vs_z_axis", "z", CENTERLINE), ("vs_z_rim", "z", EXTERNAL),
+                  ("vs_r_midplane", "r", MIDPLANE),
+                  ("vs_r_platen", "r", PLATEN))
 
 
 # ---------------------------------------------------------------------------
@@ -58,28 +64,6 @@ def _write_snapshot(path, system, u, t):
     np.savetxt(path, data, fmt="%.10e", header=header)
 
 
-def _profile_lines(mesh):
-    """The four extraction lines: (label, axis letter, node indices).
-
-    The structured mesh guarantees each line has one frozen coordinate;
-    asserted here.
-    """
-    n_r, n_z = mesh.n_r, mesh.n_z
-    r_ext = float(mesh.nodes[:, 0].max())
-    z_top = float(mesh.nodes[:, 1].max())
-    lines = [
-        ("vs_z_axis", "z", mesh.structured_line(ir=0), 0, 0.0),
-        ("vs_z_rim", "z", mesh.structured_line(ir=n_r), 0, r_ext),
-        ("vs_r_midplane", "r", mesh.structured_line(iz=0), 1, 0.0),
-        ("vs_r_platen", "r", mesh.structured_line(iz=n_z), 1, z_top),
-    ]
-    for _, _, nodes, frozen_axis, frozen_value in lines:
-        coords = mesh.nodes[nodes, frozen_axis]
-        assert np.allclose(coords, frozen_value, atol=1e-12), \
-            "profile line left its mesh line"
-    return [(label, axis, nodes) for label, axis, nodes, _, _ in lines]
-
-
 def _write_profiles(out, system, result):
     """Eight files: {T, H} x four extraction lines, one column per time."""
     mesh = system.mesh
@@ -88,7 +72,8 @@ def _write_profiles(out, system, result):
                                    for t in sorted(result.outputs)]
     fields = {"T": ("T [degC]", 0), "H": ("H [%]", 1)}
     count = 0
-    for label, axis, nodes in _profile_lines(mesh):
+    for label, axis, tag in _PROFILE_LINES:
+        nodes = mesh.node_tags[tag]
         coord = mesh.nodes[nodes, 0 if axis == "r" else 1]
         for key, (title, comp) in fields.items():
             columns = [state_fields(u)[comp][nodes] for u in states]

@@ -6,9 +6,11 @@ symmetry plane, z = half_thickness the heated platen face and r = r_ext the
 open rim.  Element sizes shrink geometrically toward the platen and the rim,
 where the steep fronts live.
 
-Nodes are numbered row-major over z-rows (index iz * (n_r + 1) + ir);
-element corner connectivity is counter-clockwise starting at the low-r,
-low-z corner.
+Nodes are numbered row-major over z-rows: ``Mesh.grid[iz, ir]`` is
+iz * (n_r + 1) + ir, the node at the ir-th radius of the iz-th height.
+Element corner connectivity is counter-clockwise starting at the low-r,
+low-z corner.  The four boundary lines are the ``Mesh.node_tags``, each
+in increasing order of its free coordinate.
 
 Every element is a bilinear quadrilateral integrated by the one 2x2
 Gauss-Legendre rule ``GAUSS_POINTS``, ``GAUSS_WEIGHTS``.
@@ -16,7 +18,7 @@ Gauss-Legendre rule ``GAUSS_POINTS``, ``GAUSS_WEIGHTS``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,30 +59,29 @@ class Mesh:
         (r, z) coordinates.
     elements : (n_el, 4) int array
         CCW corner node indices.
+    n_r, n_z : int
+        Element counts in r and in z.
     node_tags : dict tag -> int array
-        Node indices on each boundary (corner nodes appear under both tags).
+        Node indices on each boundary line, in increasing order of the
+        line's free coordinate (corner nodes appear under both tags).
     """
 
     nodes: np.ndarray
     elements: np.ndarray
     n_r: int
     n_z: int
-    node_tags: dict = field(default_factory=dict)
+    node_tags: dict
 
     @property
     def n_nodes(self):
         return self.nodes.shape[0]
 
-    def node_index(self, ir, iz):
-        return iz * (self.n_r + 1) + ir
-
-    def structured_line(self, *, ir=None, iz=None):
-        """Node indices along one mesh line (fixed ir or fixed iz)."""
-        if (ir is None) == (iz is None):
-            raise MeshError("give exactly one of ir, iz")
-        if ir is not None:
-            return np.array([self.node_index(ir, k) for k in range(self.n_z + 1)])
-        return np.array([self.node_index(k, iz) for k in range(self.n_r + 1)])
+    @property
+    def grid(self):
+        """Node indices laid out as the mesh, shape (n_z + 1, n_r + 1):
+        ``grid[iz, ir]`` is the node at the ir-th radius of the iz-th
+        height."""
+        return np.arange(self.n_nodes).reshape(self.n_z + 1, self.n_r + 1)
 
     def dissection_order(self):
         """Nested-dissection order of the nodes (George 1973).
@@ -102,8 +103,7 @@ class Mesh:
             mid = rows // 2
             return dissect(grid[:mid]) + dissect(grid[mid + 1:]) + [grid[mid]]
 
-        grid = np.arange(self.n_nodes).reshape(self.n_z + 1, self.n_r + 1)
-        return np.concatenate(dissect(grid))
+        return np.concatenate(dissect(self.grid))
 
 
 def build_graded_mesh(r_ext, half_thickness, n_r, n_z, grading_ratio=4.0):
@@ -135,23 +135,13 @@ def build_graded_mesh(r_ext, half_thickness, n_r, n_z, grading_ratio=4.0):
 
     rr, zz = np.meshgrid(r, z)  # zz varies along axis 0 (rows)
     nodes = np.column_stack([rr.ravel(), zz.ravel()])
+    grid = np.arange(rr.size).reshape(rr.shape)  # as ``Mesh.grid``
 
-    elems = []
-    for iz in range(n_z):
-        for ir in range(n_r):
-            n0 = iz * (n_r + 1) + ir
-            elems.append([n0, n0 + 1, n0 + n_r + 2, n0 + n_r + 1])
-    elements = np.array(elems, dtype=int)
-
-    mesh = Mesh(nodes=nodes, elements=elements, n_r=n_r, n_z=n_z)
-
-    mesh.node_tags = {
-        CENTERLINE: mesh.structured_line(ir=0),
-        EXTERNAL: mesh.structured_line(ir=n_r),
-        MIDPLANE: mesh.structured_line(iz=0),
-        PLATEN: mesh.structured_line(iz=n_z),
-    }
-    return mesh
+    elements = np.stack([grid[:-1, :-1], grid[:-1, 1:], grid[1:, 1:],
+                         grid[1:, :-1]], axis=-1).reshape(-1, 4)
+    node_tags = {CENTERLINE: grid[:, 0], EXTERNAL: grid[:, -1],
+                 MIDPLANE: grid[0], PLATEN: grid[-1]}
+    return Mesh(nodes, elements, n_r, n_z, node_tags)
 
 
 # ---------------------------------------------------------------------------

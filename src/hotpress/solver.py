@@ -184,7 +184,7 @@ def fd_jacobian(system, u, t, dt, u_prev):
             )
 
     order = system.newton_order
-    constrained = system.constrained_dofs()
+    constrained = system.constrained_dofs
     is_constrained = np.zeros(system.n_dofs, dtype=bool)
     is_constrained[constrained] = True
     blocks[is_constrained[system.elem_dofs]] = 0.0

@@ -50,7 +50,8 @@ from .assembly import (
     state_fields,
     tau_supg,
 )
-from .mesh import GAUSS_WEIGHTS, build_graded_mesh, element_geometry
+from .mesh import (CENTERLINE, EXTERNAL, GAUSS_WEIGHTS, MIDPLANE,
+                   build_graded_mesh, element_geometry)
 from .properties import (
     CP_VAPOR,
     KELVIN,
@@ -178,7 +179,7 @@ class ManufacturedSystem(PressSystem):
         self.solution = solution
         self.stabilization = stabilization
         nodes = np.unique(np.concatenate(list(mesh.node_tags.values())))
-        self.boundary_dofs = (
+        self.constrained_dofs = (
             N_VARS * nodes[:, None] + np.arange(N_VARS)[None, :]
         ).ravel()
         self.sources = {}
@@ -194,14 +195,12 @@ class ManufacturedSystem(PressSystem):
             self.sources[t] = manufactured_source(self, self.solution, t)
         return self.sources[t]
 
-    def constrained_dofs(self):
-        return self.boundary_dofs
-
     def constraint_targets(self, u, t):
         """The solution's boundary values at time t, from the table
         ``targets``, filled on demand as ``sources`` is."""
         if t not in self.targets:
-            self.targets[t] = self.solution.state(self.mesh, t)[self.boundary_dofs]
+            self.targets[t] = self.solution.state(
+                self.mesh, t)[self.constrained_dofs]
         return self.targets[t]
 
     def element_residual(self, due, t, corners):
@@ -607,8 +606,7 @@ def supg_benchmark(n=20, peclet=50.0):
     h = length / n
     speed = 1.0
     kappa = speed * h / (2.0 * peclet)
-    inlet = mesh.structured_line(ir=0)
-    outlet = mesh.structured_line(ir=n)
+    inlet, outlet = mesh.node_tags[CENTERLINE], mesh.node_tags[EXTERNAL]
 
     def solve(stabilized):
         tau = float(tau_supg(speed, h, kappa)) if stabilized else 0.0
@@ -625,7 +623,7 @@ def supg_benchmark(n=20, peclet=50.0):
             k[nodes, nodes] = 1.0
             rhs[nodes] = value
         u = np.linalg.solve(k, rhs)
-        return u[mesh.structured_line(iz=0)]
+        return u[mesh.node_tags[MIDPLANE]]
 
     return solve(False), solve(True)
 

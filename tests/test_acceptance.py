@@ -107,8 +107,8 @@ class TestAcceptance:
         mesh = system.mesh
         u = res.outputs[400.0]
         p_vapor = system.nodal_state(u)[:, P_VAPOR]
-        core = p_vapor[mesh.node_index(0, 0)]
-        rim = p_vapor[mesh.node_index(mesh.n_r, 0)]
+        core = p_vapor[mesh.grid[0, 0]]
+        rim = p_vapor[mesh.grid[0, -1]]
         ratio = float(core / rim)
         ok = ratio >= 10.0
         line = _report(
@@ -126,7 +126,7 @@ class TestAcceptance:
         system, res = press_run
         mesh = system.mesh
         platen_nodes = mesh.node_tags[PLATEN]
-        center = mesh.node_index(0, 0)
+        center = mesh.grid[0, 0]
 
         temps = np.array([state_fields(u)[0] for u in res.states])
         t_platen = np.array([float(system.platen_temperature(t))

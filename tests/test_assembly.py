@@ -276,8 +276,8 @@ class TestBoundaryTargets:
         )
         n_platen = len(small_mesh.node_tags[hm.PLATEN])
         n_rim = len(small_mesh.node_tags[hm.EXTERNAL])
-        assert len(sys_open.constrained_dofs()) == n_platen + 2 * n_rim
-        assert len(sys_sealed.constrained_dofs()) == n_platen
+        assert len(sys_open.constrained_dofs) == n_platen + 2 * n_rim
+        assert len(sys_sealed.constrained_dofs) == n_platen
 
     def test_apply_dirichlet_assigns_targets(self, open_system):
         n = open_system.mesh.n_nodes
@@ -318,7 +318,7 @@ class TestResidual:
     def test_mass_term_enters_residual(self, open_system):
         u = self.equilibrium_state(open_system)
         dudt = np.zeros_like(u)
-        free_t = 3 * open_system.mesh.node_index(2, 2) + asm.IDX_T
+        free_t = 3 * open_system.mesh.grid[2, 2] + asm.IDX_T
         dudt[free_t] = 1.0  # 1 K/s at one interior node
         r = open_system.residual(u, dudt, 0.0)
         assert r[free_t] > 0.0
@@ -355,7 +355,7 @@ class TestResidual:
         )
         rates = system.ode_rates(u, 0.0).reshape(m.n_nodes, 3)
         for iz in range(m.n_z + 1):
-            line = m.structured_line(iz=iz)
+            line = m.grid[iz]
             for c in range(3):
                 vals = rates[line, c]
                 ref = max(abs(vals[0]), 1e-30)
@@ -369,7 +369,7 @@ class TestResidual:
         u = asm.pack_state(np.full(n, 30.0), np.full(n, 11.0), np.full(n, 1e-6))
         system.apply_dirichlet(u, 0.0)
         rates = system.ode_rates(u, 0.0).reshape(n, 3)
-        inner = small_mesh.structured_line(iz=small_mesh.n_z - 1)[:-1]
+        inner = small_mesh.grid[-2, :-1]
         assert np.all(rates[inner, asm.IDX_T] > 0.0)
 
     def test_latent_heat_charged_once(self, small_mesh, params):
@@ -434,7 +434,7 @@ class TestResidual:
         rates = system.ode_rates(u, 0.0)
         spatial = system.residual(u, None, 0.0, constrained=False)
         full = system.residual(u, rates, 0.0, constrained=False)
-        left_out = system.constrained_dofs()
+        left_out = system.constrained_dofs
         if not sealed:
             left_out = np.concatenate([left_out, system.rim_tdofs])
         free = np.setdiff1d(np.arange(system.n_dofs), left_out)
@@ -445,7 +445,7 @@ class TestResidual:
         u = self.equilibrium_state(open_system)
         u[asm.IDX_T::3] += np.linspace(0, 5, open_system.mesh.n_nodes)
         rates = open_system.ode_rates(u, 0.0)
-        assert np.all(rates[open_system.constrained_dofs()] == 0.0)
+        assert np.all(rates[open_system.constrained_dofs] == 0.0)
 
 
 class TestFrozenLinearity:

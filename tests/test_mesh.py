@@ -82,6 +82,38 @@ class TestBuildMesh:
             hm.build_graded_mesh(-1.0, 0.5, 4, 4)
 
 
+class TestNodeGrid:
+    """The node grid, the element corners and the boundary lines of a
+    graded 7 x 4 mesh."""
+
+    @pytest.fixture(scope="class")
+    def mesh(self):
+        return hm.build_graded_mesh(0.2828, 0.0075, 7, 4, 4.0)
+
+    def test_grid_numbers_rows_of_constant_z(self, mesh):
+        iz, ir = np.indices((mesh.n_z + 1, mesh.n_r + 1))
+        assert mesh.grid.shape == (5, 8)
+        assert np.array_equal(mesh.grid, iz * (mesh.n_r + 1) + ir)
+
+    @pytest.mark.parametrize("tag, fixed, value", [
+        (hm.CENTERLINE, 0, 0.0), (hm.EXTERNAL, 0, 0.2828),
+        (hm.MIDPLANE, 1, 0.0), (hm.PLATEN, 1, 0.0075)])
+    def test_each_line_holds_one_coordinate(self, mesh, tag, fixed, value):
+        coords = mesh.nodes[mesh.node_tags[tag]]
+        assert np.all(coords[:, fixed] == value)
+        assert np.all(np.diff(coords[:, 1 - fixed]) > 0.0)
+
+    def test_elements_match_corner_loop(self, mesh):
+        n_r = mesh.n_r
+        oracle = []
+        for iz in range(mesh.n_z):
+            for ir in range(n_r):
+                n0 = iz * (n_r + 1) + ir
+                oracle.append([n0, n0 + 1, n0 + n_r + 2, n0 + n_r + 1])
+        assert mesh.elements.dtype == np.int64
+        assert np.array_equal(mesh.elements, oracle)
+
+
 class TestDissectionOrder:
     @settings(deadline=None)
     @given(n_r=st.integers(1, 40), n_z=st.integers(1, 40))
@@ -92,7 +124,7 @@ class TestDissectionOrder:
         if n_r >= n_z:
             last = order[-(n_z + 1):]
             ir = last[0] % (n_r + 1)
-            assert np.array_equal(last, m.structured_line(ir=ir))
+            assert np.array_equal(last, m.grid[:, ir])
             # the line separates the nodes ordered before it into the two
             # sides, left side first
             ir_before = order[:-(n_z + 1)] % (n_r + 1)

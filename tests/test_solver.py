@@ -294,7 +294,7 @@ class TestJacobian:
         jac = slv.fd_jacobian(system, u, t, dt=1.0, u_prev=u)
         a = (np.abs(jac.toarray()) > 0)
         free = np.ones(system.n_dofs, dtype=bool)
-        free[system.constrained_dofs()] = False
+        free[system.constrained_dofs] = False
         sub = a[np.ix_(free, free)]
         assert np.array_equal(sub, sub.T)
 

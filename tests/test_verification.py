@@ -1,6 +1,7 @@
 """Tests for the verification oracles (small, fast configurations)."""
 
-from dataclasses import replace
+import json
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -49,6 +50,19 @@ class TestCheckResult:
     def test_fail_line(self):
         c = vf.CheckResult("demo", False, detail="went wrong")
         assert c.line().startswith("FAIL demo:")
+
+    def test_checks_serialize_as_json(self):
+        """Every check holds plain Python values, so it can be written out
+        machine-readably: an open balance summed in numpy must not leave a
+        ``numpy.bool`` or ``numpy.float64`` behind."""
+        board = replace(humphrey_preset(), n_r=6, n_z=6,
+                        solver=SolverConfig(dt=1.0, t_end=3.0))
+        checks = (vf.conservation_suite(scenario=board)
+                  + vf.supg_suite() + vf.properties_suite())
+        assert len(checks) == 9
+        for c in checks:
+            assert type(c.passed) is bool, c.name
+            assert json.loads(json.dumps(asdict(c)))["name"] == c.name
 
 
 class TestPropertiesSuite:
@@ -232,7 +246,7 @@ class TestTargetTable:
         system, sol = temporal_sweep[2][0]
         for t, target in system.targets.items():
             assert np.array_equal(
-                target, sol.state(system.mesh, t)[system.boundary_dofs]), t
+                target, sol.state(system.mesh, t)[system.constrained_dofs]), t
 
     def test_missing_time_evaluated_on_demand(self, temporal_sweep):
         system, sol = temporal_sweep[2][0]
@@ -245,7 +259,7 @@ class TestTargetTable:
         finally:
             system.targets.pop(t, None)  # the table stays the sweep's
         assert np.array_equal(
-            target, sol.state(system.mesh, t)[system.boundary_dofs])
+            target, sol.state(system.mesh, t)[system.constrained_dofs])
 
 
 class TestConservationSuite:
