@@ -52,7 +52,8 @@ residual reads two slices of the corners: the columns up to ``RHO_A``
 and those up to ``MOB_Z``, whose values it interpolates with another.
 The finite-difference Jacobian splices corner rows from perturbed nodal
 states and sums its element blocks into the BSR nodal blocks of
-``PressSystem.newton_order`` through ``PressSystem.element_slots``.
+``PressSystem.newton_order`` through the ``element_slots`` of that
+:class:`NodalOrder`, which builds its pattern from ``mesh.elements``.
 ``PressSystem`` has no verification modes: the manufactured-solution and
 frozen-coefficient systems are subclasses in ``verification``.
 """
@@ -62,7 +63,7 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse import csc_matrix
 
 from . import mesh as hmesh
 from . import properties as props
@@ -120,46 +121,53 @@ def fd_step(u):
 
 
 class NodalOrder:
-    """The node-level pattern of a matrix of dense nodal blocks, and its
-    layout in a node order.
+    """The block pattern of a matrix of dense nodal blocks summed from
+    element blocks, and its layout in a node order.
 
     Unknown ``3k + i`` is variable i of node k.  The pattern is the
     canonical BSR structure (``indptr``, ``indices``) of the matrices it
-    serves, one entry per node pair, and holds every node's diagonal
-    block; such a matrix keeps its 3x3 blocks in ``data``, in pattern
-    order.  ``block_row`` is the node of each block row, ``diag`` the
-    index of each node's diagonal block and ``block_of`` that of any node
-    pair of the pattern.
+    serves: one block for each pair of nodes that share an element of
+    ``elements`` (n_el, k), every node's diagonal block among them.  Such
+    a matrix keeps its 3x3 blocks in ``data``, in pattern order.
+    ``block_row`` is the node of each block row and ``diag`` the index of
+    each node's diagonal block.  ``element_slots`` (n_el, 3k, 3k) says
+    where entry ``(e, 3a + i, 3b + j)`` of the element blocks lies in the
+    raveled nodal blocks: variable j of corner b in the row of variable i
+    of corner a.
     ``csc(blocks)`` lays blocks out as the CSC matrix ``P A P^T``, where
     ``(P x)[m] = x[dofs[m]]`` and ``dofs`` keeps the unknowns of a node
     together in ``node_order``.  The maps are built once, by sorting.
     """
 
-    def __init__(self, indptr, indices, node_order):
-        n_nodes, b = len(indptr) - 1, N_VARS
+    def __init__(self, elements, n_nodes, node_order):
+        b = N_VARS
         n = b * n_nodes
-        self.indptr, self.indices = indptr, indices
-        self.block_row = np.repeat(np.arange(n_nodes), np.diff(indptr))
-        self.pairs, self.n_nodes = self.block_row * n_nodes + indices, n_nodes
+        n_el, k = elements.shape
+        pairs, block = np.unique(
+            elements[:, :, None] * n_nodes + elements[:, None, :],
+            return_inverse=True)
+        self.block_row, self.indices = np.divmod(pairs, n_nodes)
+        self.indptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(self.block_row, minlength=n_nodes))))
         nodes = np.arange(n_nodes)
-        self.diag = self.block_of(nodes, nodes)
+        self.diag = np.searchsorted(pairs, nodes * (n_nodes + 1))
         self.dofs = (b * np.asarray(node_order)[:, None] + np.arange(b)).ravel()
+        var = np.arange(b)
+        self.element_slots = (
+            (block.reshape(n_el, k, 1, k, 1) * b + var[:, None, None]) * b + var
+        ).reshape(n_el, k * b, k * b)
 
         rank = np.empty(n_nodes, dtype=int)
         rank[node_order] = nodes
         i, j = np.indices((b, b))
         new_rows = (b * rank[self.block_row][:, None, None] + i).ravel()
-        new_cols = (b * rank[indices][:, None, None] + j).ravel()
+        new_cols = (b * rank[self.indices][:, None, None] + j).ravel()
         self.csc_order = np.argsort(new_cols * n + new_rows)
         self.csc_indices = new_rows[self.csc_order].astype(np.int32)
         self.csc_indptr = np.concatenate(
             ([0], np.cumsum(np.bincount(new_cols, minlength=n)))
         ).astype(np.int32)
         self.shape = (n, n)
-
-    def block_of(self, row_nodes, col_nodes):
-        """Index of the block of each node pair, which the pattern holds."""
-        return np.searchsorted(self.pairs, row_nodes * self.n_nodes + col_nodes)
 
     def csc(self, blocks):
         """``P A P^T`` in CSC form, from the nodal blocks of A."""
@@ -380,37 +388,14 @@ class PressSystem:
         self.constrained_dofs = self.platen_tdofs if sealed_radius else \
             np.concatenate([self.platen_tdofs, self.rim_hdofs, self.rim_adofs])
 
-        # element dof map for gather/scatter
-        self.elem_dofs = (
-            N_VARS * mesh.elements[:, :, None] + np.arange(N_VARS)[None, None, :]
-        ).reshape(-1, 4 * N_VARS)
-
     @cached_property
     def newton_order(self):
         """The :class:`NodalOrder` of the Newton matrix: a 3x3 block for
         each pair of nodes that share an element, and the nodes in the
         mesh's nested-dissection order.  Built at the first linear solve,
         once per system."""
-        elements, n_nodes = self.mesh.elements, self.mesh.n_nodes
-        nodes = csr_matrix((np.ones(elements.size * 4), (
-            np.repeat(elements, 4, axis=1).ravel(), np.tile(elements, 4).ravel()
-        )), shape=(n_nodes, n_nodes))
-        return NodalOrder(nodes.indptr, nodes.indices,
+        return NodalOrder(self.mesh.elements, self.mesh.n_nodes,
                           self.mesh.dissection_order())
-
-    @cached_property
-    def element_slots(self):
-        """Where each entry ``(e, 3a + i, 3b + j)`` of the element Jacobian
-        blocks (n_el, 12, 12) lies in the raveled nodal blocks of
-        ``newton_order``: variable j of corner b in the row of variable i of
-        corner a.  Built with ``newton_order``, once per system."""
-        elements = self.mesh.elements
-        block = self.newton_order.block_of(elements[:, :, None],
-                                           elements[:, None, :])
-        var = np.arange(N_VARS)
-        slots = (block[:, :, None, :, None] * N_VARS + var[:, None, None]) \
-            * N_VARS + var
-        return slots.reshape(len(elements), 4 * N_VARS, 4 * N_VARS)
 
     # -- constraint values ---------------------------------------------------
 
@@ -465,7 +450,7 @@ class PressSystem:
 
     def _gather(self, u):
         """Element-local copies of the state, shape (n_el, 4, 3)."""
-        return u[self.elem_dofs].reshape(-1, 4, N_VARS)
+        return np.take(u.reshape(-1, N_VARS), self.mesh.elements, axis=0)
 
     def _assemble(self, blocks):
         """Sum element-corner blocks (n_el, 4, k) into nodal rows

@@ -155,9 +155,11 @@ def fd_jacobian(system, u, t, dt, u_prev):
     the corner, which holds the state, and the rate are put back from
     saved copies after each.
     The element blocks are summed straight into the 3x3 nodal blocks
-    through ``system.element_slots``.  Each constrained row is a unit
-    diagonal minus ``system.constraint_slopes``, the centered difference
-    of its target, in its node's diagonal block, temperature column.
+    through the order's ``element_slots``.  The rows of the constrained
+    unknowns are then zeroed in every nodal block, and each is set to a
+    unit diagonal minus ``system.constraint_slopes``, the centered
+    difference of its target, in its node's diagonal block, temperature
+    column.
     """
     elements = system.mesh.elements
     delta = fd_step(u)
@@ -184,14 +186,14 @@ def fd_jacobian(system, u, t, dt, u_prev):
             )
 
     order = system.newton_order
+    nodal = np.bincount(
+        order.element_slots.ravel(), weights=blocks.ravel(),
+        minlength=len(order.block_row) * N_VARS**2,
+    ).reshape(-1, N_VARS, N_VARS)
     constrained = system.constrained_dofs
     is_constrained = np.zeros(system.n_dofs, dtype=bool)
     is_constrained[constrained] = True
-    blocks[is_constrained[system.elem_dofs]] = 0.0
-    nodal = np.bincount(
-        system.element_slots.ravel(), weights=blocks.ravel(),
-        minlength=len(order.block_row) * N_VARS**2,
-    ).reshape(-1, N_VARS, N_VARS)
+    nodal[is_constrained.reshape(-1, N_VARS)[order.block_row]] = 0.0
     node, var = np.divmod(constrained, N_VARS)
     rows = np.eye(N_VARS)[var]
     rows[:, IDX_T] -= system.constraint_slopes(u, t)[constrained]

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from hotpress import assembly as asm
 from hotpress import mesh as hm
@@ -78,6 +79,63 @@ class TestStateVector:
         runaway = asm.pack_state([30.0], [11.0], [-0.3])
         with pytest.raises(StepError):
             asm.validate_state(runaway, a_tol=0.05)
+
+
+def graded_connectivity():
+    m = hm.build_graded_mesh(0.2828, 0.0075, 7, 4, 4.0)
+    return m.elements, m.n_nodes
+
+
+def triangle_connectivity():
+    """Four triangles over six nodes, numbered out of order."""
+    return np.array([[4, 0, 2], [2, 5, 4], [3, 1, 5], [5, 2, 3]]), 6
+
+
+@pytest.mark.parametrize("connectivity",
+                         [graded_connectivity, triangle_connectivity])
+class TestNodalOrder:
+    """The pattern and element slots against the CSR pattern of a matrix
+    of ones over every pair of nodes that share an element."""
+
+    @staticmethod
+    def oracle(elements, n_nodes):
+        """(indptr, indices, pairs) of that CSR pattern."""
+        k = elements.shape[1]
+        ones = sparse.csr_matrix((np.ones(elements.size * k), (
+            np.repeat(elements, k, axis=1).ravel(), np.tile(elements, k).ravel()
+        )), shape=(n_nodes, n_nodes))
+        rows = np.repeat(np.arange(n_nodes), np.diff(ones.indptr))
+        return ones.indptr, ones.indices, rows * n_nodes + ones.indices
+
+    def test_pattern_is_the_canonical_csr_pattern(self, connectivity):
+        elements, n_nodes = connectivity()
+        order = asm.NodalOrder(elements, n_nodes, np.arange(n_nodes))
+        indptr, indices, _ = self.oracle(elements, n_nodes)
+        assert np.array_equal(order.indptr, indptr)
+        assert np.array_equal(order.indices, indices)
+        assert np.array_equal(order.block_row,
+                              np.repeat(np.arange(n_nodes), np.diff(indptr)))
+
+    def test_diag_indexes_each_nodes_diagonal_block(self, connectivity):
+        elements, n_nodes = connectivity()
+        order = asm.NodalOrder(elements, n_nodes, np.arange(n_nodes))
+        assert np.array_equal(order.indices[order.diag], np.arange(n_nodes))
+        assert np.array_equal(order.block_row[order.diag], np.arange(n_nodes))
+
+    def test_element_slots_address_the_nodal_blocks(self, connectivity):
+        elements, n_nodes = connectivity()
+        order = asm.NodalOrder(elements, n_nodes, np.arange(n_nodes))
+        _, _, pairs = self.oracle(elements, n_nodes)
+        k = elements.shape[1]
+        assert order.element_slots.shape == (len(elements), 3 * k, 3 * k)
+        i, j = np.indices((3, 3))
+        for e, el in enumerate(elements):
+            for a in range(k):
+                for b in range(k):
+                    block = np.searchsorted(pairs, el[a] * n_nodes + el[b])
+                    assert np.array_equal(
+                        order.element_slots[e, 3 * a:3 * a + 3, 3 * b:3 * b + 3],
+                        9 * block + 3 * i + j)
 
 
 class TestDerivedState:

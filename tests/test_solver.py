@@ -14,7 +14,8 @@ from hotpress.properties import HailwoodHorrobinIsotherm, MaterialParams
 from hotpress.scenario import build_system, humphrey_preset, initial_state, \
     run_scenario
 from hotpress.solver import SolverConfig
-from hotpress.verification import FrozenCoefficientSystem
+from hotpress.verification import FrozenCoefficientSystem, \
+    ManufacturedSystem, _mms_solution
 
 AMBIENT = (30.0, 65.0, 101325.0)
 
@@ -299,16 +300,24 @@ class TestJacobian:
         assert np.array_equal(sub, sub.T)
 
     def test_matches_dofwise_difference_of_the_residual(self, params):
-        """On an open 4 x 4 mesh every column, constrained rows included,
+        """On a 4 x 4 mesh every column, constrained rows included,
         equals a centered one-dof-at-a-time difference of the global
         residual, and the matrix holds the 3x3 nodal blocks of
         ``newton_order``, one per pair of nodes that share an element: a
         corner spliced from the wrong node, or an element block summed
-        into the wrong nodal block, fails the column it lands in."""
+        into the wrong nodal block, fails the column it lands in.  The
+        open rim constrains some unknowns of a node; the manufactured
+        system constrains every unknown of each boundary node."""
         m = hm.build_graded_mesh(0.2828, 0.0075, 4, 4, 4.0)
-        system = asm.PressSystem(m, params, ramp_schedule, AMBIENT)
+        for system in (asm.PressSystem(m, params, ramp_schedule, AMBIENT),
+                       ManufacturedSystem(m, params, _mms_solution(True))):
+            self.check_dofwise_difference(system)
+
+    @staticmethod
+    def check_dofwise_difference(system):
+        name = type(system).__name__
         rng = np.random.default_rng(3)
-        n = m.n_nodes
+        n = system.mesh.n_nodes
         u = asm.pack_state(30.0 + 90.0 * rng.random(n), 5.0 + 7.0 * rng.random(n),
                            0.2 + 0.8 * rng.random(n))
         u_prev = u - 0.1 * rng.standard_normal(u.size)
@@ -331,7 +340,7 @@ class TestJacobian:
             v_m[j] -= delta[j]
             col = (g(v_p) - g(v_m)) / (2.0 * delta[j])
             err = np.linalg.norm(dense[:, j] - col) / np.linalg.norm(col)
-            assert err < 1e-6, f"column {j} off by {err:.2e}"
+            assert err < 1e-6, f"{name}: column {j} off by {err:.2e}"
 
     def test_isotherm_inverted_once_per_node_and_state(self, system, u_smooth,
                                                        monkeypatch):
@@ -356,12 +365,13 @@ class TestJacobian:
 
 def nodal(a):
     """Dense ``a`` as a BSR matrix of 3x3 blocks, every block stored, and
-    the NodalOrder of its pattern with the nodes in reverse order."""
+    its NodalOrder, that of one element holding every node, with the
+    nodes in reverse order."""
     n = len(a) // 3
     blocks = np.asarray(a, dtype=float).reshape(n, 3, n, 3).swapaxes(1, 2)
     a = sparse.bsr_matrix((blocks.reshape(-1, 3, 3), np.tile(np.arange(n), n),
                            np.arange(0, n * n + 1, n)), shape=(3 * n, 3 * n))
-    return a, asm.NodalOrder(a.indptr, a.indices, np.arange(n)[::-1])
+    return a, asm.NodalOrder(np.arange(n)[None], n, np.arange(n)[::-1])
 
 
 class TestLinearSolve:
@@ -418,7 +428,7 @@ class TestLinearSolve:
         a = sparse.bsr_matrix(np.block([[np.eye(3), np.eye(3)],
                                         [np.eye(3), np.eye(3)]]),
                               blocksize=(3, 3))
-        order = asm.NodalOrder(a.indptr, a.indices, np.array([1, 0]))
+        order = asm.NodalOrder(np.array([[0, 1]]), 2, np.array([1, 0]))
         with pytest.raises(LinearSolveError, match="factorization failed"):
             slv.linear_solve(a, np.ones(6), order)
 
