@@ -31,7 +31,7 @@ from typing import get_type_hints
 import numpy as np
 import yaml
 
-from .assembly import PressSystem, pack_state
+from .assembly import N_VARS, PressSystem, pack_state
 from .errors import HotPressError, ScenarioError
 from .mesh import build_graded_mesh
 from .properties import (
@@ -90,7 +90,8 @@ class PressSchedule:
             raise ScenarioError(
                 "schedule times and temperatures must have the same length")
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(temp))):
-            raise ScenarioError("schedule breakpoints must be finite")
+            raise ScenarioError(
+                "schedule times and temperatures must be finite")
         if t.size > 1 and not np.all(np.diff(t) > 0.0):
             raise ScenarioError("schedule times must be strictly increasing")
         if np.any(temp <= -KELVIN):
@@ -170,9 +171,20 @@ class Scenario:
                 raise ScenarioError(f"{name} must be a positive number")
         for name in ("n_r", "n_z"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 1 and int(value) == value):
+            try:
+                count = int(value)
+            except (TypeError, ValueError, OverflowError):  # nan, inf, text
+                count = 0
+            if not (count >= 1 and count == value):
                 raise ScenarioError(f"{name} must be a positive integer")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, count)
+        # numpy cannot make an array of more than intp-max bytes, so a mesh
+        # whose state vector is larger is a bad count, not a lack of memory
+        n_dofs = N_VARS * (self.n_r + 1) * (self.n_z + 1)
+        if n_dofs * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+            name = "n_r" if self.n_r >= self.n_z else "n_z"
+            raise ScenarioError(f"{name} is too large: the mesh has more "
+                                "unknowns than an array can hold")
         if not isinstance(self.material, MaterialParams):
             raise ScenarioError("material must be a MaterialParams instance")
         if not isinstance(self.schedule, PressSchedule):

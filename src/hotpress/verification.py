@@ -8,7 +8,9 @@ acceptance tests:
   makes a chosen analytic state an exact solution is computed from the
   pointwise strong-form fluxes with high-order finite differences — a
   path independent of the element assembly, so agreement is evidence,
-  not tautology.
+  not tautology.  Each manufactured field returns its value and its r,
+  z and t slopes from one call, and one constitutive evaluation per
+  point set gives the flux, the storage terms and the energy advection.
 * ``conservation`` — a sealed board must keep its total water and its
   total air; an open board must balance storage change against the rim
   reactions every step.
@@ -218,33 +220,33 @@ class ManufacturedSystem(PressSystem):
 # ---------------------------------------------------------------------------
 
 class _Wave:
-    """Scalar field ``a0 + amp cos(k r) (1 - b (z/z_len)^2) s(t)``.
+    """Scalar field ``a0 + amp cos(k r) (1 - b (z/z_len)^2) s(t)``, steady
+    (s = 1) when ``period`` is None and s = (1 - cos(pi t / period)) / 2
+    otherwise.
 
-    Even in r (zero radial slope on the axis) and polynomial in z, with
-    closed-form space and time derivatives.
+    Even in r (zero radial slope on the axis) and polynomial in z.  A call
+    returns the value and its closed-form r, z and t derivatives together.
     """
 
-    def __init__(self, a0, amp, k_r, b, z_len, s=None, ds=None):
+    def __init__(self, a0, amp, k_r, b, z_len, period=None):
         self.a0, self.amp, self.k_r, self.b = a0, amp, k_r, b
-        self.z_len = z_len
-        self.s = s if s is not None else (lambda t: 1.0)
-        self.ds = ds if ds is not None else (lambda t: 0.0)
+        self.z_len, self.period = z_len, period
 
     def __call__(self, r, z, t):
-        return self.a0 + self.amp * np.cos(self.k_r * r) \
-            * (1.0 - self.b * (z / self.z_len) ** 2) * self.s(t)
-
-    def d_r(self, r, z, t):
-        return -self.amp * self.k_r * np.sin(self.k_r * r) \
-            * (1.0 - self.b * (z / self.z_len) ** 2) * self.s(t)
-
-    def d_z(self, r, z, t):
-        return self.amp * np.cos(self.k_r * r) \
-            * (-2.0 * self.b * z / self.z_len ** 2) * self.s(t)
-
-    def d_t(self, r, z, t):
-        return self.amp * np.cos(self.k_r * r) \
-            * (1.0 - self.b * (z / self.z_len) ** 2) * self.ds(t)
+        """``(value, d/dr, d/dz, d/dt)`` at points (r, z) and time t."""
+        if self.period is None:
+            s, ds = 1.0, 0.0
+        else:
+            phase = np.pi * t / self.period
+            s = 0.5 * (1.0 - np.cos(phase))
+            ds = 0.5 * np.pi / self.period * np.sin(phase)
+        amp, k_r = self.amp, self.k_r
+        c = np.cos(k_r * r)
+        p = 1.0 - self.b * (z / self.z_len) ** 2
+        return (self.a0 + amp * c * p * s,
+                -amp * k_r * np.sin(k_r * r) * p * s,
+                amp * c * (-2.0 * self.b * z / self.z_len ** 2) * s,
+                amp * c * p * ds)
 
 
 @dataclass
@@ -258,8 +260,8 @@ class _ManufacturedSolution:
     def state(self, mesh, t):
         """Exact nodal state vector at time t."""
         r, z = mesh.nodes[:, 0], mesh.nodes[:, 1]
-        return pack_state(self.t_field(r, z, t), self.h_field(r, z, t),
-                          self.a_field(r, z, t))
+        return pack_state(self.t_field(r, z, t)[0], self.h_field(r, z, t)[0],
+                          self.a_field(r, z, t)[0])
 
 
 _MMS_R = 0.2828     # m, board radius of the study domain
@@ -268,44 +270,36 @@ _MMS_Z = 0.0075     # m, half thickness
 
 def _mms_solution(transient, period=8.0):
     """Smooth manufactured fields kept well inside the physical range."""
-    if transient:
-        def s(t):
-            return 0.5 * (1.0 - np.cos(np.pi * t / period))
-
-        def ds(t):
-            return 0.5 * np.pi / period * np.sin(np.pi * t / period)
-    else:
-        s = ds = None
+    period = period if transient else None
     k = np.pi / _MMS_R
     return _ManufacturedSolution(
-        t_field=_Wave(70.0, 18.0, k, 0.5, _MMS_Z, s, ds),        # degC
-        h_field=_Wave(9.5, 1.6, 0.8 * k, 0.4, _MMS_Z, s, ds),    # %
-        a_field=_Wave(0.8, 0.22, k, 0.6, _MMS_Z, s, ds),         # kg/m3
+        t_field=_Wave(70.0, 18.0, k, 0.5, _MMS_Z, period),        # degC
+        h_field=_Wave(9.5, 1.6, 0.8 * k, 0.4, _MMS_Z, period),    # %
+        a_field=_Wave(0.8, 0.22, k, 0.6, _MMS_Z, period),         # kg/m3
     )
 
 
 # Independent of the assembly's Darcy velocity and flux code on purpose:
 # this is the oracle the MMS suite checks the element residual against.
-def _pointwise_flux(system, sol, r, z, t):
-    """Exact strong-form flux (..., 3, 2) of the three balances and the
-    energy advection term rho_v cp_vapor V . grad T (...,).
+def _pointwise_terms(system, sol, r, z, t):
+    """Exact strong-form terms of the three balances at points (r, z),
+    from one constitutive evaluation: the flux (..., 3, 2), the storage
+    (time-derivative) terms (..., 3) and the energy advection term
+    rho_v cp_vapor V . grad T (...,).
 
     The energy flux is conduction alone: the vapor advects only its
     sensible heat, and in advective form, since the latent heat of the
     vapor flux is already charged through the evaporation rate in the
-    storage terms.  Uses the analytic field gradients and the chain rule
+    storage terms.  Uses the analytic field derivatives and the chain rule
     through the constitutive maps; no element machinery involved.
     """
     p = system.params
     eps = system.epsilon
-    tf, hf, af = sol.t_field, sol.h_field, sol.a_field
-    tv, hv, av = tf(r, z, t), hf(r, z, t), af(r, z, t)
+    tv, gt_r, gt_z, dt_dt = sol.t_field(r, z, t)
+    hv, gh_r, gh_z, dh_dt = sol.h_field(r, z, t)
+    av, ga_r, ga_z, da_dt = sol.a_field(r, z, t)
     th = derive_thermo(tv, hv, av, p)
     rv, rv_t, rv_h = th[..., RHO_V], th[..., RV_T], th[..., RV_H]
-
-    gt_r, gt_z = tf.d_r(r, z, t), tf.d_z(r, z, t)
-    gh_r, gh_z = hf.d_r(r, z, t), hf.d_z(r, z, t)
-    ga_r, ga_z = af.d_r(r, z, t), af.d_z(r, z, t)
 
     grv_r = rv_t * gt_r + rv_h * gh_r
     grv_z = rv_t * gt_z + rv_h * gh_z
@@ -327,25 +321,13 @@ def _pointwise_flux(system, sol, r, z, t):
     f[..., 2, 0] = eps_d * ga_r - v_r * av
     f[..., 2, 1] = eps_d * ga_z - v_z * av
     adv_t = rv * CP_VAPOR * (v_r * gt_r + v_z * gt_z)
-    return f, adv_t
 
-
-def _storage_terms(system, sol, r, z, t):
-    """Time-derivative terms of the three balances at points (r, z)."""
-    p = system.params
-    eps = system.epsilon
-    tf, hf, af = sol.t_field, sol.h_field, sol.a_field
-    th = derive_thermo(tf(r, z, t), hf(r, z, t), af(r, z, t), p)
-    dt_dt = tf.d_t(r, z, t)
-    dh_dt = hf.d_t(r, z, t)
-    da_dt = af.d_t(r, z, t)
-    mdot = eps * (th[..., RV_T] * dt_dt + th[..., RV_H] * dh_dt) \
-        - (p.rho_s / 100.0) * dh_dt
-    out = np.empty(np.shape(dt_dt) + (3,))
-    out[..., 0] = p.rho_s * th[..., CP] * dt_dt + th[..., HEAT] * mdot
-    out[..., 1] = (p.rho_s / 100.0) * dh_dt
-    out[..., 2] = eps * da_dt
-    return out
+    mdot = eps * (rv_t * dt_dt + rv_h * dh_dt) - (p.rho_s / 100.0) * dh_dt
+    local = np.empty(np.shape(tv) + (3,))
+    local[..., 0] = p.rho_s * th[..., CP] * dt_dt + th[..., HEAT] * mdot
+    local[..., 1] = (p.rho_s / 100.0) * dh_dt
+    local[..., 2] = eps * da_dt
+    return f, local, adv_t
 
 
 def manufactured_source(system, sol, t):
@@ -364,18 +346,18 @@ def manufactured_source(system, sol, t):
     hz = 1e-4 * float(np.max(np.abs(z)) or 1.0)
 
     def fr(rr):
-        return _pointwise_flux(system, sol, rr, z, t)[0][..., 0]
+        return _pointwise_terms(system, sol, rr, z, t)[0][..., 0]
 
     def fz(zz):
-        return _pointwise_flux(system, sol, r, zz, t)[0][..., 1]
+        return _pointwise_terms(system, sol, r, zz, t)[0][..., 1]
 
     dfr = (-fr(r + 2 * hr) + 8.0 * fr(r + hr)
            - 8.0 * fr(r - hr) + fr(r - 2 * hr)) / (12.0 * hr)
     dfz = (-fz(z + 2 * hz) + 8.0 * fz(z + hz)
            - 8.0 * fz(z - hz) + fz(z - 2 * hz)) / (12.0 * hz)
-    f0, adv_t = _pointwise_flux(system, sol, r, z, t)
+    f0, local, adv_t = _pointwise_terms(system, sol, r, z, t)
     div = dfr + f0[..., 0] / r[..., None] + dfz
-    src = _storage_terms(system, sol, r, z, t) - div
+    src = local - div
     src[..., 0] += adv_t
     return src
 

@@ -322,6 +322,21 @@ class TestRunErrors:
         assert "mesh.n_r" in err and "mesh.n_z" in err, err
         assert list(tmp_path.iterdir()) == [big], "no output may be written"
 
+    @pytest.mark.parametrize("n_r", [9e18, 1e19, 2e19, 1e300])
+    def test_mesh_beyond_any_array_exits_2(self, tmp_path, scenario_file,
+                                           capsys, n_r):
+        # numpy refuses an array of more than intp-max bytes on any
+        # machine: such a count is a bad field, not a shortage of memory
+        doc = yaml.safe_load(scenario_file.read_text())
+        doc["mesh"]["n_r"] = n_r
+        big = tmp_path / "big.yaml"
+        big.write_text(yaml.safe_dump(doc))
+        rc = cli.main(["run", "--scenario", str(big), "--out", str(tmp_path)])
+        assert rc == 2, f"a count no array can hold is a usage error, got {rc}"
+        err = capsys.readouterr().err
+        assert err.startswith("error: mesh.n_r is too large"), err
+        assert list(tmp_path.iterdir()) == [big], "no output may be written"
+
     def test_solver_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         def boom(scenario, **kwargs):
             raise NewtonError("no convergence (synthetic)")

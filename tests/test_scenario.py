@@ -13,7 +13,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hotpress.errors import DomainError, ScenarioError
-from hotpress.properties import HailwoodHorrobinIsotherm, MaterialParams
+from hotpress.properties import (CALIBRATED_ISOTHERM, HailwoodHorrobinIsotherm,
+                                 MaterialParams)
 from hotpress.scenario import (
     _FORMAT,
     PressSchedule,
@@ -121,6 +122,22 @@ class TestScenarioValidation:
     def test_non_integer_element_count(self):
         with pytest.raises(ScenarioError, match="n_r"):
             replace(humphrey_preset(), n_r=2.5)
+
+    @pytest.mark.parametrize("value", [2**70, 10**400, float("inf"),
+                                       float("nan"), "5", None])
+    def test_count_beyond_any_array_or_not_a_number(self, value):
+        with pytest.raises(ScenarioError, match="^n_r "):
+            replace(humphrey_preset(), n_r=value)
+
+    def test_larger_count_is_the_one_named(self):
+        with pytest.raises(ScenarioError, match="^n_z is too large"):
+            replace(humphrey_preset(), n_r=2**40, n_z=2**41)
+
+    @pytest.mark.parametrize("name", ["material", "schedule", "solver"])
+    def test_section_object_of_wrong_type(self, name):
+        with pytest.raises(ScenarioError,
+                           match=f"^{name} must be a .* instance"):
+            replace(humphrey_preset(), **{name: {}})
 
     def test_sub_absolute_zero_initial_temperature(self):
         with pytest.raises(ScenarioError, match="t0"):
@@ -328,6 +345,10 @@ class TestSerialization:
         assert load_scenario(text) == sc
         assert load_scenario(old) == sc
 
+    def test_null_isotherm_scale_is_the_calibrated_surface(self):
+        sc = load_scenario(_with_field("material.isotherm_scale", None))
+        assert sc.material.isotherm is CALIBRATED_ISOTHERM
+
     def test_isotherm_scale_round_trips(self):
         sc = humphrey_preset()
         again = load_scenario(save_scenario(sc))
@@ -390,10 +411,39 @@ class TestMalformedFields:
         ("mesh.n_r", True),
         ("mesh.n_z", None),
         ("material.kappa_anisotropy", "x"),
+        ("mesh.n_r", 2e19),
+        ("mesh.n_r", 1e300),
+        ("boundary.sealed_radius", "yes"),
+        ("solver.scheme", 5),
+        ("solver.output_times", 5.0),
+        ("schedule.breakpoints", []),
+        ("schedule.breakpoints", [[0.0, 30.0, 1.0]]),
+        ("schedule.breakpoints", [30.0]),
+        ("schedule.breakpoints", [[float("nan"), 30.0]]),
     ])
     def test_rejected_with_field_named(self, dotted, value):
         with pytest.raises(ScenarioError, match=dotted.replace(".", r"\.")):
             load_scenario(_with_field(dotted, value))
+
+    def test_non_finite_breakpoint_names_its_key_once(self):
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(_with_field("schedule.breakpoints",
+                                      [[0.0, float("inf")]]))
+        assert str(info.value) == \
+            "schedule.breakpoints times and temperatures must be finite"
+
+    def test_root_must_be_a_mapping(self):
+        with pytest.raises(ScenarioError,
+                           match="^config root must be a mapping"):
+            load_scenario("- 1\n- 2\n")
+
+    @pytest.mark.parametrize("section", list(_FORMAT))
+    def test_section_must_be_a_mapping(self, section):
+        doc = yaml.safe_load(save_scenario(humphrey_preset()))
+        doc[section] = [1, 2]
+        with pytest.raises(ScenarioError,
+                           match=f"^{section} must be a mapping"):
+            load_scenario(yaml.safe_dump(doc))
 
     @pytest.mark.parametrize("key", ["rho_s",
                                      "kappa_anisotropy", "perm_anisotropy",
