@@ -1,4 +1,8 @@
-"""Exception hierarchy for the hot-pressing simulator."""
+"""Exception hierarchy for the hot-pressing simulator, and the check that
+the configuration classes run on each of their numeric fields."""
+
+import math
+from numbers import Real
 
 
 class HotPressError(Exception):
@@ -38,3 +42,19 @@ class LinearSolveError(HotPressError):
 
 class StepError(HotPressError):
     """A time step produced a state violating basic invariants."""
+
+
+def as_float(value, name, error, valid=None, rule=None):
+    """``value`` as a Python float, or ``error`` with a message that starts
+    with ``name``: when it is not a real number (a bool, text or ``None``),
+    when no float can hold it, or, given the range rule ``valid``, when it
+    is not finite or fails the rule, as ``f"{name} {rule}"``."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise error(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise error(f"{name} must lie within the range of a float") from None
+    if valid is not None and not (math.isfinite(number) and valid(number)):
+        raise error(f"{name} {rule}")
+    return number

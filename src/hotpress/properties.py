@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, as_float
 
 KELVIN = 273.15
 R_GAS = 8314.0       # universal gas constant [J/(kmol K)]
@@ -345,14 +345,17 @@ class HailwoodHorrobinIsotherm:
     The clamp is a kink: above it dRH/dT is zero, so d(rho_v)/dT keeps
     only its saturation-pressure term and falls by 12 % across 115 degC,
     from 0.032584 to 0.028606 kg/(m3 K) at H = 10 %.
+
+    ``scale`` is stored as float; one that is not a positive, finite
+    number raises :class:`~hotpress.errors.DomainError` naming it.
     """
 
     scale: float = 1.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.scale) and self.scale > 0.0):
-            raise DomainError(f"scale must be positive and finite, "
-                              f"got {self.scale!r}")
+        object.__setattr__(self, "scale", as_float(
+            self.scale, "scale", DomainError, lambda x: x > 0.0,
+            f"must be positive and finite, got {self.scale!r}"))
 
     def _coefficients(self, t_c):
         """``(pref, k, a, b)`` of EMC = pref g(k RH/100, a, b) at T [degC],
@@ -436,6 +439,15 @@ CALIBRATED_ISOTHERM = HailwoodHorrobinIsotherm(
 # material parameter bundle
 # ---------------------------------------------------------------------------
 
+# the range rule and message of each number of a MaterialParams; a value
+# that is not a finite number is refused too
+_BOARD_RULES = {
+    **dict.fromkeys(("rho_s", "kappa_anisotropy", "perm_anisotropy", "rho_f",
+                     "rho_r"), (lambda x: x > 0.0, "must be positive and finite")),
+    "y_r": (lambda x: 0.0 <= x < 1.0, "must lie in [0, 1)"),
+}
+
+
 @dataclass(frozen=True)
 class MaterialParams:
     """The constitutive constants of one board.
@@ -444,6 +456,9 @@ class MaterialParams:
     constant ``R_GAS``, the molar mass of air ``MM_AIR``, the specific
     heat of water vapor ``CP_VAPOR`` and the permeability table
     ``PERM_DENSITY``, ``PERM_VALUES``; importing reads no file.
+    Every field is checked when built, type included; a bad one raises
+    :class:`~hotpress.errors.DomainError` starting with its name.  The
+    numbers are stored as float.
 
     Parameters
     ----------
@@ -477,14 +492,13 @@ class MaterialParams:
 
     def __post_init__(self):
         # every message starts with the name of the offending field
-        for name in ("rho_s", "kappa_anisotropy", "perm_anisotropy",
-                     "rho_f", "rho_r"):
+        for name, (valid, rule) in _BOARD_RULES.items():
             value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0.0):
-                raise DomainError(f"{name} must be positive and finite, "
-                                  f"got {value!r}")
-        if not 0.0 <= self.y_r < 1.0:
-            raise DomainError(f"y_r must lie in [0, 1), got {self.y_r!r}")
+            object.__setattr__(self, name, as_float(
+                value, name, DomainError, valid, f"{rule}, got {value!r}"))
+        if not isinstance(self.isotherm, HailwoodHorrobinIsotherm):
+            raise DomainError("isotherm must be a HailwoodHorrobinIsotherm "
+                              "instance")
         # the gas balances divide by the porosity
         eps = 1.0 - self.rho_s * (1.0 / self.rho_f + self.y_r / self.rho_r) / (
             1.0 + self.y_r

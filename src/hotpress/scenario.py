@@ -15,12 +15,14 @@ exceptions are documented: ambient pressure defaults to one standard
 atmosphere, and the numerical knobs in :class:`SolverConfig` default to
 the values used throughout the test suite.
 
-One table, ``_FORMAT``, maps each YAML key to the field it holds and
-drives load, save and error messages.  A bad field is reported by its
-dotted key: a malformed one (every numeric key must be a number, every
-flag a boolean) as ``solver.dt must be a number``, and an out-of-range
-one, which the dataclass names by attribute (``t0``), as
-``initial.temperature must be above absolute zero``.
+Each configuration class checks its own fields when built, type
+included, and stores its numbers as floats, so a case built in Python
+meets the errors a YAML file does.  One table, ``_FORMAT``, maps each
+YAML key to the field it holds and drives load, save and error
+messages.  The loader converts only the breakpoint pairs and the
+isotherm scale, and puts a bad field's dotted key in place of the name
+the class's message starts with (``t0``): ``solver.dt must be a number,
+got 'abc'``, ``initial.temperature must be above absolute zero``.
 """
 
 import warnings
@@ -32,7 +34,7 @@ import numpy as np
 import yaml
 
 from .assembly import N_VARS, PressSystem, pack_state
-from .errors import HotPressError, ScenarioError
+from .errors import HotPressError, ScenarioError, as_float
 from .mesh import build_graded_mesh
 from .properties import (
     CALIBRATED_ISOTHERM,
@@ -75,20 +77,25 @@ class PressSchedule:
     Between breakpoints the temperature is interpolated linearly; before
     the first and after the last breakpoint it is held constant.
     Instances are callable: ``schedule(t)`` returns the platen
-    temperature at time ``t``.
+    temperature at time ``t``.  Both are checked entry by entry when
+    built and stored as tuples of float; a bad one raises
+    :class:`~hotpress.errors.ScenarioError` starting ``schedule``.
     """
 
     times: tuple
     temperatures: tuple
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        temp = np.asarray(self.temperatures, dtype=float)
+        t, temp = (np.array(v, dtype=object)
+                   for v in (self.times, self.temperatures))
         if t.ndim != 1 or t.size == 0:
             raise ScenarioError("schedule needs at least one breakpoint")
         if temp.shape != t.shape:
             raise ScenarioError(
                 "schedule times and temperatures must have the same length")
+        t = np.array([as_float(x, "schedule times", ScenarioError) for x in t])
+        temp = np.array([as_float(x, "schedule temperatures", ScenarioError)
+                         for x in temp])
         if not (np.all(np.isfinite(t)) and np.all(np.isfinite(temp))):
             raise ScenarioError(
                 "schedule times and temperatures must be finite")
@@ -97,8 +104,8 @@ class PressSchedule:
         if np.any(temp <= -KELVIN):
             raise ScenarioError(
                 "schedule temperatures must be above absolute zero")
-        object.__setattr__(self, "times", tuple(float(x) for x in t))
-        object.__setattr__(self, "temperatures", tuple(float(x) for x in temp))
+        object.__setattr__(self, "times", tuple(t.tolist()))
+        object.__setattr__(self, "temperatures", tuple(temp.tolist()))
 
     def __call__(self, t):
         """Platen temperature [degC] at time ``t`` [s]."""
@@ -114,9 +121,29 @@ class PressSchedule:
 # full case description
 # ---------------------------------------------------------------------------
 
+# the range rule and message of each number of a Scenario; a value that is
+# not a finite number is refused too
+_RULES = {
+    **dict.fromkeys(("r_ext", "half_thickness", "grading_ratio"),
+                    (lambda x: x > 0.0, "must be a positive number")),
+    **dict.fromkeys(("n_r", "n_z"), (lambda x: x >= 1.0 and x.is_integer(),
+                                     "must be a positive integer")),
+    **dict.fromkeys(("t0", "t_atm"),
+                    (lambda x: x > -KELVIN, "must be above absolute zero")),
+    **dict.fromkeys(("h0", "rho_a0"),
+                    (lambda x: x >= 0.0, "must be non-negative")),
+    "hr_atm": (lambda x: 0.0 <= x <= 100.0, "must lie in [0, 100]"),
+    "p_atm": (lambda x: x > 0.0, "must be positive"),
+}
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One complete press-simulation case.
+
+    Every field is checked when built, type included; a bad one raises
+    :class:`~hotpress.errors.ScenarioError` starting with its name.
+    Numbers are stored as float, the counts as int.
 
     Parameters
     ----------
@@ -165,19 +192,11 @@ class Scenario:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
-        for name in ("r_ext", "half_thickness", "grading_ratio"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0.0):
-                raise ScenarioError(f"{name} must be a positive number")
-        for name in ("n_r", "n_z"):
-            value = getattr(self, name)
-            try:
-                count = int(value)
-            except (TypeError, ValueError, OverflowError):  # nan, inf, text
-                count = 0
-            if not (count >= 1 and count == value):
-                raise ScenarioError(f"{name} must be a positive integer")
-            object.__setattr__(self, name, count)
+        for name, (valid, rule) in _RULES.items():
+            value = as_float(getattr(self, name), name, ScenarioError,
+                             valid, rule)
+            object.__setattr__(self, name,
+                               int(value) if name in ("n_r", "n_z") else value)
         # numpy cannot make an array of more than intp-max bytes, so a mesh
         # whose state vector is larger is a bad count, not a lack of memory
         n_dofs = N_VARS * (self.n_r + 1) * (self.n_z + 1)
@@ -191,25 +210,15 @@ class Scenario:
             raise ScenarioError("schedule must be a PressSchedule instance")
         if not isinstance(self.solver, SolverConfig):
             raise ScenarioError("solver must be a SolverConfig instance")
-        for name in ("t0", "t_atm"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > -KELVIN):
-                raise ScenarioError(f"{name} must be above absolute zero")
-        if not (np.isfinite(self.h0) and self.h0 >= 0.0):
-            raise ScenarioError("h0 must be non-negative")
-        if not (np.isfinite(self.rho_a0) and self.rho_a0 >= 0.0):
-            raise ScenarioError("rho_a0 must be non-negative")
-        if not 0.0 <= self.hr_atm <= 100.0:
-            raise ScenarioError("hr_atm must lie in [0, 100]")
-        if not (np.isfinite(self.p_atm) and self.p_atm > 0.0):
-            raise ScenarioError("p_atm must be positive")
+        if not isinstance(self.sealed_radius, (bool, np.bool_)):
+            raise ScenarioError("sealed_radius must be a boolean")
+        object.__setattr__(self, "sealed_radius", bool(self.sealed_radius))
         # The rim air target is (p_atm - p_v_atm) converted to a density;
         # a super-saturated ambient would make it negative.
         p_v_atm = self.hr_atm / 100.0 * saturated_vapor_pressure(self.t_atm)
         if p_v_atm >= self.p_atm:
             raise ScenarioError("p_atm must exceed the ambient vapor "
                                 f"pressure ({p_v_atm:.3g} N/m2)")
-        object.__setattr__(self, "sealed_radius", bool(self.sealed_radius))
 
     @property
     def ambient(self):
@@ -262,57 +271,28 @@ def humphrey_preset():
 # YAML load / save
 # ---------------------------------------------------------------------------
 
-def _number(value, where):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{where} must be a number, got {value!r}")
-    return float(value)
+def _schedule(value):
+    if not (isinstance(value, list) and value and all(
+            isinstance(pair, list) and len(pair) == 2 for pair in value)):
+        raise ScenarioError("schedule must be a non-empty list of [t, T] pairs")
+    return PressSchedule(*zip(*value))
 
 
-def _flag(value, where):
-    if not isinstance(value, bool):
-        raise ScenarioError(f"{where} must be a boolean")
-    return value
-
-
-def _text(value, where):
-    if not isinstance(value, str):
-        raise ScenarioError(f"{where} must be text, got {value!r}")
-    return value
-
-
-def _times(value, where):
-    if not isinstance(value, list):
-        raise ScenarioError(f"{where} must be a list of times")
-    return tuple(_number(t, f"{where} entry") for t in value)
-
-
-def _schedule(value, where):
-    if not isinstance(value, list) or not value:
-        raise ScenarioError(f"{where} must be a non-empty list of [t, T] pairs")
-    times, temps = [], []
-    for i, pair in enumerate(value):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ScenarioError(f"{where}[{i}] must be a [t, T] pair")
-        times.append(_number(pair[0], f"{where}[{i}] time"))
-        temps.append(_number(pair[1], f"{where}[{i}] temperature"))
-    return PressSchedule(times=tuple(times), temperatures=tuple(temps))
-
-
-def _isotherm(value, where):
+def _isotherm(value):
     if value is None:  # null keeps the calibrated surface
         return CALIBRATED_ISOTHERM
-    return HailwoodHorrobinIsotherm(scale=_number(value, where))
+    return HailwoodHorrobinIsotherm(scale=value)
 
 
 def _same(value):
     return value
 
 
-# the reader (YAML value, dotted key) -> field value and the writer
-# field value -> YAML value of each annotated field type
+# the reader YAML value -> field value and the writer field value -> YAML
+# value of the annotated field types that are not plain YAML values; the
+# classes check every field when they are built
 _CODECS = {
-    float: (_number, _same), int: (_number, _same), bool: (_flag, _same),
-    str: (_text, _same), tuple: (_times, list),
+    tuple: (_same, list),
     PressSchedule: (_schedule, lambda s: [list(p) for p in s.breakpoints]),
     HailwoodHorrobinIsotherm: (_isotherm, lambda iso: iso.scale),
 }
@@ -331,7 +311,7 @@ def _section(owner, *names, **renamed):
     key_of = {name: key for key, name in renamed.items()}
     chosen = spec if names == (...,) else [*names, *key_of]
     return {key_of.get(name, name): _Row(
-        owner, name, *_CODECS[hints[name]],
+        owner, name, *_CODECS.get(hints[name], (_same, _same)),
         spec[name].default is MISSING and spec[name].default_factory is MISSING)
         for name in chosen}
 
@@ -402,14 +382,15 @@ def load_scenario(text):
     kwargs = {Scenario: {}, MaterialParams: {}, SolverConfig: {}}
     unknown = [str(key) for key in doc if key not in _FORMAT]
     for section, rows in _FORMAT.items():
-        table = doc.get(section, {})
+        table = doc.get(section)
+        table = {} if table is None else table  # every key commented out
         if not isinstance(table, dict):
             raise ScenarioError(f"{section} must be a mapping of fields")
         for key, row in rows.items():
             where = f"{section}.{key}"
             if key in table:
                 try:
-                    kwargs[row.owner][row.name] = row.read(table.pop(key), where)
+                    kwargs[row.owner][row.name] = row.read(table.pop(key))
                 except HotPressError as exc:
                     raise _keyed(exc, where) from exc
             elif row.required:

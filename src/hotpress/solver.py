@@ -54,7 +54,7 @@ from scipy.sparse.linalg import splu
 
 from .assembly import IDX_T, N_VARS, fd_step, validate_state
 from .errors import HotPressError, LinearSolveError, NewtonError, \
-    ScenarioError
+    ScenarioError, as_float
 
 # dt halvings of a failed implicit step before the run gives up
 MAX_HALVINGS = 5
@@ -83,6 +83,10 @@ class SolverConfig:
     ``t_end = 0`` is accepted and means "evaluate the initial state
     only" (no steps are taken).  The Newton stopping rule has one value
     in every run: it is held in class constants, which no scenario sets.
+    Every field is checked when built, type included; a bad one raises
+    :class:`~hotpress.errors.ScenarioError` starting with its name.
+    ``dt``, ``t_end`` and the output times are stored as float, and
+    ``scheme`` as str.
 
     Parameters
     ----------
@@ -93,8 +97,8 @@ class SolverConfig:
     t_end : float
         Final time [s].
     output_times : tuple of float
-        Times [s] at which full-field snapshots are recorded; sorted and
-        deduplicated on construction.
+        Times [s] at which full-field snapshots are recorded; a tuple or
+        list, sorted and deduplicated on construction.
 
     Attributes
     ----------
@@ -119,19 +123,21 @@ class SolverConfig:
     newton_max_iter: ClassVar[int] = 15
 
     def __post_init__(self):
-        if not (np.isfinite(self.dt) and self.dt > 0.0):
-            raise ScenarioError("dt must be a positive number")
+        object.__setattr__(self, "dt", as_float(
+            self.dt, "dt", ScenarioError, lambda x: x > 0.0,
+            "must be a positive number"))
         if self.scheme not in ("implicit", "explicit"):
             raise ScenarioError(
                 f"scheme must be 'implicit' or 'explicit', got {self.scheme!r}")
-        if not (np.isfinite(self.t_end) and self.t_end >= 0.0):
-            raise ScenarioError("t_end must be non-negative")
-        times = sorted({float(t) for t in self.output_times})
-        if any(not np.isfinite(t) or t <= 0.0 for t in times):
-            raise ScenarioError("output_times must be positive and finite")
-        object.__setattr__(self, "output_times", tuple(times))
-        object.__setattr__(self, "dt", float(self.dt))
-        object.__setattr__(self, "t_end", float(self.t_end))
+        object.__setattr__(self, "scheme", str(self.scheme))
+        object.__setattr__(self, "t_end", as_float(
+            self.t_end, "t_end", ScenarioError, lambda x: x >= 0.0,
+            "must be non-negative"))
+        if not isinstance(self.output_times, (tuple, list)):
+            raise ScenarioError("output_times must be a list of times")
+        object.__setattr__(self, "output_times", tuple(sorted({as_float(
+            t, "output_times", ScenarioError, lambda x: x > 0.0,
+            "must be positive and finite") for t in self.output_times})))
 
 
 def rms(v):

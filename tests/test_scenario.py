@@ -155,6 +155,92 @@ class TestScenarioValidation:
         assert sc.ambient == (30.0, 65.0, 101325.0)
 
 
+def _number_fields():
+    """One param per number field of the five configuration classes: a
+    function that makes the class from that field's value, the error it
+    raises and a pattern of the start of its message."""
+    preset = humphrey_preset()
+
+    def row(owner, name, build, error, start=None):
+        return pytest.param(build, error, start or f"{name} ",
+                            id=f"{owner}.{name}")
+
+    return [
+        *(row("Scenario", name,
+              lambda v, name=name: replace(preset, **{name: v}), ScenarioError)
+          for name in ("r_ext", "half_thickness", "n_r", "n_z",
+                       "grading_ratio", "t0", "h0", "rho_a0", "t_atm",
+                       "hr_atm", "p_atm")),
+        *(row("SolverConfig", name,
+              lambda v, name=name: SolverConfig(**{name: v}), ScenarioError)
+          for name in ("dt", "t_end")),
+        row("SolverConfig", "output_times",
+            lambda v: SolverConfig(output_times=(1.0, v)), ScenarioError),
+        row("PressSchedule", "times",
+            lambda v: PressSchedule((0.0, v), (30.0, 160.0)), ScenarioError,
+            "schedule times "),
+        # a non-finite entry is reported for both sequences at once
+        row("PressSchedule", "temperatures",
+            lambda v: PressSchedule((0.0, 72.0), (30.0, v)), ScenarioError,
+            "schedule (times and )?temperatures "),
+        *(row("MaterialParams", name,
+              lambda v, name=name: MaterialParams(**{"rho_s": 586.0, name: v}),
+              DomainError)
+          for name in ("rho_s", "kappa_anisotropy", "perm_anisotropy",
+                       "rho_f", "rho_r", "y_r")),
+        row("HailwoodHorrobinIsotherm", "scale",
+            lambda v: HailwoodHorrobinIsotherm(scale=v), DomainError),
+    ]
+
+
+class TestFieldChecks:
+    """Each class checks its own fields, type included, so a case built
+    in Python meets the errors a YAML file does."""
+
+    @pytest.mark.parametrize("value", ["1", None, True, 10**400, float("nan")],
+                             ids=["text", "None", "bool", "10**400", "nan"])
+    @pytest.mark.parametrize("build, error, start", _number_fields())
+    def test_bad_number_refused_by_name(self, build, error, start, value):
+        with pytest.raises(error, match=f"^{start}"):
+            build(value)
+
+    @pytest.mark.parametrize("value", ["no", "yes", 1, None])
+    def test_sealed_radius_must_be_a_boolean(self, value):
+        with pytest.raises(ScenarioError,
+                           match="^sealed_radius must be a boolean"):
+            replace(humphrey_preset(), sealed_radius=value)
+
+    def test_material_isotherm_must_be_an_isotherm(self):
+        with pytest.raises(DomainError, match="^isotherm must be a "):
+            MaterialParams(rho_s=586.0, isotherm=None)
+
+    def test_numpy_scalars_stored_as_python_numbers(self):
+        f = np.float64
+        sc = replace(
+            humphrey_preset(), r_ext=f(0.2828), n_r=np.int64(20),
+            t0=f(30.0), hr_atm=np.float32(65.0), sealed_radius=np.bool_(True),
+            material=MaterialParams(
+                rho_s=f(586.0), y_r=f(0.085),
+                isotherm=HailwoodHorrobinIsotherm(scale=f(1.0))),
+            schedule=PressSchedule(np.array([0.0, 72.0]),
+                                   np.array([30.0, 160.0])),
+            solver=SolverConfig(dt=f(1.0), t_end=np.int64(10),
+                                scheme=np.str_("explicit"),
+                                output_times=[f(5.0), f(1.0)]))
+        assert load_scenario(save_scenario(sc)) == sc
+        assert type(sc.n_r) is int and type(sc.sealed_radius) is bool
+        assert type(sc.solver.scheme) is str
+        numbers = [sc.r_ext, sc.t0, sc.hr_atm, sc.material.rho_s,
+                   sc.material.y_r, sc.material.isotherm.scale, sc.solver.dt,
+                   sc.solver.t_end, *sc.solver.output_times,
+                   *sc.schedule.times, *sc.schedule.temperatures]
+        assert {type(x) for x in numbers} == {float}
+
+    def test_schedule_must_be_one_dimensional(self):
+        with pytest.raises(ScenarioError, match="^schedule needs"):
+            PressSchedule(((0.0, 1.0),), ((30.0, 40.0),))
+
+
 class TestHumphreyPreset:
     def test_geometry(self):
         sc = humphrey_preset()
@@ -332,6 +418,25 @@ class TestSerialization:
         assert loaded.solver == SolverConfig(), \
             "missing solver section should fall back to defaults"
 
+    @pytest.mark.parametrize("section", ["solver", "boundary"])
+    def test_empty_section_takes_the_defaults(self, section):
+        preset = humphrey_preset()
+        rows = yaml.safe_load(save_scenario(preset))[section]
+        doc = save_scenario(preset).replace(
+            yaml.safe_dump({section: rows}, sort_keys=False),
+            f"{section}:\n" + "".join(f"  # {key}: ...\n" for key in rows))
+        assert yaml.safe_load(doc)[section] is None
+        expected = preset if section == "boundary" else \
+            replace(preset, solver=SolverConfig())
+        assert load_scenario(doc) == expected
+
+    def test_empty_material_names_its_required_field(self):
+        doc = yaml.safe_load(save_scenario(humphrey_preset()))
+        doc["material"] = None
+        with pytest.raises(ScenarioError,
+                           match="^missing required field material.rho_s$"):
+            load_scenario(yaml.safe_dump(doc))
+
     @pytest.mark.parametrize("dotted, value", [
         ("material.mm_water", 18.0), ("solver.store_all", True)])
     def test_files_with_and_without_ignored_key_load(self, dotted, value):
@@ -444,6 +549,20 @@ class TestMalformedFields:
         with pytest.raises(ScenarioError,
                            match=f"^{section} must be a mapping"):
             load_scenario(yaml.safe_dump(doc))
+
+    @pytest.mark.parametrize("dotted, value", [
+        ("schedule.breakpoints", [["a", 30.0]]),
+        ("schedule.breakpoints", [[0.0, 10**400]]),
+        ("solver.output_times", ["a"]),
+        ("solver.output_times", [10**400]),
+        ("geometry.r_ext", 10**400),
+        ("material.isotherm_scale", 10**400),
+    ], ids=["breakpoint-text", "breakpoint-10**400", "output_time-text",
+            "output_time-10**400", "r_ext-10**400", "isotherm_scale-10**400"])
+    def test_malformed_number_names_its_key(self, dotted, value):
+        with pytest.raises(ScenarioError,
+                           match="^" + dotted.replace(".", r"\.") + " "):
+            load_scenario(_with_field(dotted, value))
 
     @pytest.mark.parametrize("key", ["rho_s",
                                      "kappa_anisotropy", "perm_anisotropy",
